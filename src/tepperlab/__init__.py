@@ -25,7 +25,7 @@ from .diffcalc import (
     iterated_difference,
 )
 from .errors import BudgetExceededError, InputError
-from .exact import binomial, factorial, pascal_row
+from .exact import alternating_binomials, binomial, factorial, pascal_row
 from .identities import (
     IdentityReport,
     classify_power_sum,
@@ -57,7 +57,7 @@ from .occupancy import (
     surjection_count,
 )
 from .parser import ParseError, parse_polynomial, render_polynomial
-from .poly import NEG_INFINITY, Polynomial
+from .poly import Polynomial
 
 __version__ = "0.1.0"
 
@@ -67,11 +67,11 @@ __all__ = [
     "IdentityReport",
     "InputError",
     "ModularCheck",
-    "NEG_INFINITY",
     "OccupancyParams",
     "OccupancyResult",
     "ParseError",
     "Polynomial",
+    "alternating_binomials",
     "alternating_power_sum",
     "alternating_sum_numeric",
     "alternating_sum_symbolic",

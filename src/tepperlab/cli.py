@@ -40,15 +40,6 @@ JSON = "json"
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation: the command, its options, output format."""
-
-    command: str
-    output_format: str
-    options: argparse.Namespace
-
-
-@dataclass(frozen=True)
 class ReportRow:
     """Output-ready report: values already rendered to exact strings."""
 
@@ -92,8 +83,6 @@ def _render_value(value) -> str | None:
         return None
     if isinstance(value, Polynomial):
         return render_polynomial(value)
-    if isinstance(value, (Fraction, int)):
-        return str(value)
     return str(value)
 
 
@@ -368,23 +357,17 @@ def _emit(rows: Sequence[ReportRow], output_format: str, summary: str | None) ->
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated configuration and emit its reports."""
-    rows = _HANDLERS[config.command](config.options)
-    summary = None
-    if config.command == "sweep":
-        passed = sum(1 for r in rows if r.error is None and r.passed)
-        failed = sum(1 for r in rows if r.error is None and not r.passed)
-        errors = sum(1 for r in rows if r.error is not None)
-        summary = f"sweep: total={len(rows)} passed={passed} failed={failed} input-errors={errors}"
-    return _emit(rows, config.output_format, summary)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     options = build_parser().parse_args(argv)
-    config = RunConfig(command=options.command, output_format=options.format, options=options)
     try:
-        return run(config)
+        rows = _HANDLERS[options.command](options)
+        summary = None
+        if options.command == "sweep":
+            passed = sum(1 for r in rows if r.error is None and r.passed)
+            failed = sum(1 for r in rows if r.error is None and not r.passed)
+            errors = sum(1 for r in rows if r.error is not None)
+            summary = f"sweep: total={len(rows)} passed={passed} failed={failed} input-errors={errors}"
+        return _emit(rows, options.format, summary)
     except BudgetExceededError as exc:
         print(f"BUDGET-EXCEEDED {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .exact import binomial
+from .exact import alternating_binomials
 from .poly import Polynomial, Scalar, as_fraction
 
 
@@ -48,13 +48,8 @@ def backward_difference(p: Polynomial, step: int = 1) -> Polynomial:
 
 def alternating_sum_symbolic(p: Polynomial, params: DifferenceParams) -> Polynomial:
     """Sum of (-1)^k C(n,k) P(x - l*k) over k = 0..n, as a polynomial."""
-    n, step = params.order, params.step
-    total = Polynomial.zero()
-    sign = 1
-    for k in range(n + 1):
-        total = total + p.shift(step * k).scale(sign * binomial(n, k))
-        sign = -sign
-    return total
+    weights = alternating_binomials(params.order)
+    return sum((p.shift(params.step * k).scale(w) for k, w in enumerate(weights)), Polynomial.zero())
 
 
 def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scalar) -> Fraction:
@@ -63,14 +58,9 @@ def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scal
     Independent of the symbolic route: each term is P evaluated at
     point - l*k, not a coefficient of a shifted polynomial.
     """
-    n, step = params.order, params.step
     x = as_fraction(point)
-    total = Fraction(0)
-    sign = 1
-    for k in range(n + 1):
-        total += sign * binomial(n, k) * p.evaluate(x - step * k)
-        sign = -sign
-    return total
+    weights = alternating_binomials(params.order)
+    return sum((w * p.evaluate(x - params.step * k) for k, w in enumerate(weights)), Fraction(0))
 
 
 def iterated_difference(p: Polynomial, params: DifferenceParams) -> Polynomial:

@@ -17,6 +17,13 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def alternating_binomials(n: int) -> list[int]:
+    """The weights (-1)^k C(n,k) for k = 0..n of every alternating binomial sum."""
+    if n < 0:
+        raise InputError("alternating_binomials requires n >= 0")
+    return [-binomial(n, k) if k & 1 else binomial(n, k) for k in range(n + 1)]
+
+
 def factorial(n: int) -> int:
     """n! with 0! = 1."""
     return math.factorial(n)

@@ -22,7 +22,7 @@ from typing import Union
 
 from .diffcalc import DifferenceParams, alternating_sum_numeric, alternating_sum_symbolic
 from .errors import InputError
-from .exact import binomial, factorial
+from .exact import alternating_binomials, binomial, factorial
 from .occupancy import alternating_power_sum
 from .parser import render_polynomial
 from .poly import Polynomial, Scalar, as_fraction
@@ -81,8 +81,7 @@ def _input_error(name: str, parameters: str, message: str) -> IdentityReport:
 
 def _constant_identity_report(
     name: str,
-    parameters_numeric: str,
-    parameters_symbolic: str,
+    parameters: str,
     p: Polynomial,
     params: DifferenceParams,
     claimed_constant: Fraction,
@@ -93,9 +92,11 @@ def _constant_identity_report(
     if mode == SYMBOLIC:
         s = alternating_sum_symbolic(p, params)
         claimed = Polynomial.constant(claimed_constant)
-        return IdentityReport(name, parameters_symbolic, claimed, s, s == claimed, witness=s)
+        return IdentityReport(
+            name, f"{parameters} mode=symbolic x=ignored", claimed, s, s == claimed, witness=s
+        )
     value = alternating_sum_numeric(p, params, x)
-    return IdentityReport(name, parameters_numeric, claimed_constant, value, value == claimed_constant)
+    return IdentityReport(name, f"{parameters} x={x}", claimed_constant, value, value == claimed_constant)
 
 
 def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
@@ -106,15 +107,13 @@ def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport
     _check_mode(mode)
     if n < 0:
         return _input_error(TEPPER, f"n={n}", "n must be >= 0")
-    xf = as_fraction(x)
     return _constant_identity_report(
         TEPPER,
-        f"n={n} x={xf}",
-        f"n={n} mode=symbolic x=ignored",
+        f"n={n}",
         Polynomial.monomial(n),
         DifferenceParams(order=n, step=1),
         Fraction(factorial(n)),
-        xf,
+        as_fraction(x),
         mode,
     )
 
@@ -134,8 +133,7 @@ def verify_lemma(p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> 
         )
     return _constant_identity_report(
         LEMMA_VANISHING,
-        f'poly="{poly_text}" n={n} x={xf}',
-        f'poly="{poly_text}" n={n} mode=symbolic x=ignored',
+        f'poly="{poly_text}" n={n}',
         p,
         DifferenceParams(order=n, step=1),
         Fraction(0),
@@ -155,12 +153,11 @@ def verify_generalized(p: Polynomial, x: Scalar = 0, mode: str = SYMBOLIC) -> Id
             f'poly="{poly_text}"',
             "zero polynomial has no degree or leading coefficient",
         )
-    n = int(p.degree)
+    n = p.degree
     claimed = p.leading_coefficient * factorial(n)
     return _constant_identity_report(
         GENERALIZED_TEPPER,
-        f'poly="{poly_text}" n={n} x={xf}',
-        f'poly="{poly_text}" n={n} mode=symbolic x=ignored',
+        f'poly="{poly_text}" n={n}',
         p,
         DifferenceParams(order=n, step=1),
         claimed,
@@ -182,12 +179,11 @@ def verify_conjecture(p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC
             f'poly="{poly_text}" l={l}',
             "zero polynomial has no degree or leading coefficient",
         )
-    n = int(p.degree)
+    n = p.degree
     claimed = p.leading_coefficient * l**n * factorial(n)
     return _constant_identity_report(
         CONJECTURE_STEP_L,
-        f'poly="{poly_text}" l={l} n={n} x={xf}',
-        f'poly="{poly_text}" l={l} n={n} mode=symbolic x=ignored',
+        f'poly="{poly_text}" l={l} n={n}',
         p,
         DifferenceParams(order=n, step=l),
         claimed,
@@ -207,14 +203,8 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     if n < 0:
         return _input_error(TEPPER, f"n={n} route=expansion", "n must be >= 0")
     xf = as_fraction(x)
-    inner = []
-    for j in range(n + 1):
-        total = 0
-        sign = 1
-        for k in range(n + 1):
-            total += sign * binomial(n, k) * (-k) ** (n - j)
-            sign = -sign
-        inner.append(total)
+    weights = alternating_binomials(n)
+    inner = [sum(w * (-k) ** (n - j) for k, w in enumerate(weights)) for j in range(n + 1)]
     witness = Polynomial(tuple(Fraction(binomial(n, j) * inner[j]) for j in range(n + 1)))
     total_at_x = witness.evaluate(xf)
     claimed = Fraction(factorial(n))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exact import binomial
+from .exact import alternating_binomials
 
 ROUTE_NAIVE = "naive_factorial"
 ROUTE_TEPPER = "tepper_sum"
@@ -45,6 +45,11 @@ class ModularCheck:
                 raise InputError("residues must lie in [0, modulus)")
         if self.passed != (self.computed_residue == self.expected_residue):
             raise InputError("passed must reflect residue equality")
+
+
+def _wilson_check(p: int, computed: int, route: str) -> ModularCheck:
+    """A computed (p-1)! mod p against the Wilson residue p - 1."""
+    return ModularCheck(p, computed, p - 1, computed == p - 1, route)
 
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
@@ -94,14 +99,7 @@ def factorial_mod_naive_check(p: int) -> ModularCheck:
     """(p-1)! mod p against the expected residue p - 1, baseline route."""
     if p < 2:
         raise InputError("p must be >= 2")
-    computed = factorial_mod_naive(p - 1, p)
-    return ModularCheck(
-        modulus=p,
-        computed_residue=computed,
-        expected_residue=p - 1,
-        passed=computed == p - 1,
-        route=ROUTE_NAIVE,
-    )
+    return _wilson_check(p, factorial_mod_naive(p - 1, p), ROUTE_NAIVE)
 
 
 def factorial_mod_tepper(p: int) -> ModularCheck:
@@ -113,19 +111,8 @@ def factorial_mod_tepper(p: int) -> ModularCheck:
     if p < 2:
         raise InputError("p must be >= 2")
     n = p - 1
-    total = 0
-    sign = 1
-    for k in range(n + 1):
-        total += sign * binomial(n, k) * k**n
-        sign = -sign
-    computed = total % p
-    return ModularCheck(
-        modulus=p,
-        computed_residue=computed,
-        expected_residue=p - 1,
-        passed=computed == p - 1,
-        route=ROUTE_TEPPER,
-    )
+    total = sum(w * k**n for k, w in enumerate(alternating_binomials(n)))
+    return _wilson_check(p, total % p, ROUTE_TEPPER)
 
 
 def factorial_mod_fermat_route(p: int) -> ModularCheck:
@@ -136,20 +123,8 @@ def factorial_mod_fermat_route(p: int) -> ModularCheck:
     """
     if p < 2 or not is_prime_trial(p):
         raise InputError(f"p = {p} is not prime; the Fermat reduction does not apply")
-    n = p - 1
-    total = 0
-    sign = -1
-    for k in range(1, n + 1):
-        total += sign * binomial(n, k)
-        sign = -sign
-    computed = total % p
-    return ModularCheck(
-        modulus=p,
-        computed_residue=computed,
-        expected_residue=p - 1,
-        passed=computed == p - 1,
-        route=ROUTE_FERMAT,
-    )
+    total = sum(alternating_binomials(p - 1)[1:])
+    return _wilson_check(p, total % p, ROUTE_FERMAT)
 
 
 def fermat_check(k: int, p: int) -> bool:

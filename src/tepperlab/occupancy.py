@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError
-from .exact import binomial
+from .exact import alternating_binomials, binomial
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
@@ -55,12 +55,7 @@ def surjection_count(onto: int, domain: int) -> int:
     """Number of surjections from a ``domain``-set onto an ``onto``-set."""
     if onto < 0 or domain < 0:
         raise InputError("set sizes must be >= 0")
-    total = 0
-    sign = 1
-    for i in range(onto + 1):
-        total += sign * binomial(onto, i) * (onto - i) ** domain
-        sign = -sign
-    return total
+    return sum(w * (onto - i) ** domain for i, w in enumerate(alternating_binomials(onto)))
 
 
 def exact_occupancy_count(params: OccupancyParams) -> int:
@@ -117,12 +112,8 @@ def alternating_power_sum(n: int, p: int) -> int:
         raise InputError("alternating_power_sum requires p >= 1")
     if n < 0:
         raise InputError("alternating_power_sum requires n >= 0")
-    total = 0
-    sign = 1
-    for k in range(1, n + 1):
-        total += sign * binomial(n, k) * k**p
-        sign = -sign
-    return total
+    # The k = 0 term 0^p vanishes for p >= 1.
+    return -sum(w * k**p for k, w in enumerate(alternating_binomials(n)))
 
 
 def stirling2(items: int, blocks: int) -> int:

@@ -2,8 +2,8 @@
 
 A polynomial is a tuple of ``Fraction`` coefficients, lowest degree first:
 ``(a0, a1, ..., an)`` with the last entry nonzero.  The zero polynomial is
-the empty tuple.  Its degree is the marker ``NEG_INFINITY``, which compares
-below every integer, so a test like ``p.degree < n`` is always meaningful.
+the empty tuple.  Its degree is -1, below the degree of every nonzero
+polynomial, so a test like ``p.degree < n`` holds for it at every n >= 0.
 """
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ from itertools import zip_longest
 from typing import Union
 
 from .errors import InputError
-
-# Degree of the zero polynomial.  Only ever compared against ints, never
-# used in arithmetic.
-NEG_INFINITY = float("-inf")
 
 Scalar = Union[int, str, Fraction]
 
@@ -62,10 +58,8 @@ class Polynomial:
         return not self.coefficients
 
     @property
-    def degree(self) -> int | float:
-        """Degree of the polynomial; NEG_INFINITY for the zero polynomial."""
-        if not self.coefficients:
-            return NEG_INFINITY
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coefficients) - 1
 
     @property

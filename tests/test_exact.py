@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from strategies import rationals
-from tepperlab import InputError, binomial, factorial, pascal_row
+from tepperlab import InputError, alternating_binomials, binomial, factorial, pascal_row
 
 
 def test_binomial_empty_set_convention():
@@ -78,6 +78,19 @@ def test_row_sum_is_power_of_two(n):
 @pytest.mark.parametrize("n", range(1, 31))
 def test_alternating_row_sum_vanishes(n):
     assert sum((-1) ** k * c for k, c in enumerate(pascal_row(n))) == 0
+
+
+def test_alternating_binomials_rejects_negative():
+    with pytest.raises(InputError):
+        alternating_binomials(-1)
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_alternating_binomials_are_the_signed_pascal_row(n):
+    # pascal_row's multiplicative recurrence is a route independent of binomial
+    weights = alternating_binomials(n)
+    assert weights == [(-1) ** k * c for k, c in enumerate(pascal_row(n))]
+    assert sum(weights) == (1 if n == 0 else 0)
 
 
 @given(rationals(), rationals(), rationals())

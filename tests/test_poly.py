@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from strategies import polynomials, rationals
-from tepperlab import NEG_INFINITY, InputError, Polynomial
+from tepperlab import InputError, Polynomial
 
 X_CUBED = Polynomial.monomial(3)
 
@@ -65,7 +65,8 @@ def test_leading_coefficient_and_degree():
 
 
 def test_zero_polynomial_has_no_leading_coefficient():
-    assert Polynomial.zero().degree == NEG_INFINITY
+    assert Polynomial.zero().degree == -1
+    assert isinstance(Polynomial.zero().degree, int)
     assert Polynomial.zero().degree < 0
     with pytest.raises(InputError):
         Polynomial.zero().leading_coefficient
