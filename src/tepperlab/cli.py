@@ -111,6 +111,20 @@ def _row_from_modular_check(check: ModularCheck, parameters: str) -> ReportRow:
     )
 
 
+def _row_from_primality_check(check: ModularCheck) -> ReportRow:
+    """Wilson's verdict on n = check.modulus against trial division."""
+    n = check.modulus
+    trial_says_prime = numtheory.is_prime_trial(n)
+    return ReportRow(
+        kind="command",
+        name="wilson",
+        parameters=f"n={n} route={check.route} residue={check.computed_residue}",
+        claimed="prime" if trial_says_prime else "composite",
+        computed="prime" if check.passed else "composite",
+        passed=check.passed == trial_says_prime,
+    )
+
+
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -223,22 +237,8 @@ def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
     if (options.p is None) == (options.upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
     if options.upto is not None:
-        rows = []
-        for n in range(2, options.upto + 1):
-            residue = numtheory.factorial_mod_naive(n - 1, n)
-            wilson_says_prime = residue == n - 1
-            trial_says_prime = numtheory.is_prime_trial(n)
-            rows.append(
-                ReportRow(
-                    kind="command",
-                    name="wilson",
-                    parameters=f"n={n} route={numtheory.ROUTE_NAIVE} residue={residue}",
-                    claimed="prime" if trial_says_prime else "composite",
-                    computed="prime" if wilson_says_prime else "composite",
-                    passed=wilson_says_prime == trial_says_prime,
-                )
-            )
-        return rows
+        checks = map(numtheory.factorial_mod_naive_check, range(2, options.upto + 1))
+        return [_row_from_primality_check(check) for check in checks]
     p = options.p
     if p > options.limit:
         raise InputError(f"p = {p} exceeds the input limit {options.limit}")

@@ -79,24 +79,26 @@ def _input_error(name: str, parameters: str, message: str) -> IdentityReport:
     return IdentityReport(name, parameters, None, None, False, error=message)
 
 
-def _constant_identity_report(
-    name: str,
-    parameters: str,
-    p: Polynomial,
-    params: DifferenceParams,
-    claimed_constant: Fraction,
-    x: Fraction,
-    mode: str,
+def _step_sum_report(
+    name: str, parameters: str, p: Polynomial, order: int, step: int, x: Fraction, mode: str
 ) -> IdentityReport:
-    """Shared body: the sum should equal a constant, symbolically or at x."""
+    """The paper's theorem for one instance, symbolically or at x.
+
+    For deg P <= order, the sum of (-1)^k C(order,k) P(x - step*k) is the
+    constant a_order * step^order * order!, where a_order is the x^order
+    coefficient of P (zero when deg P < order).  Tepper's identity, the
+    vanishing lemma, the generalized identity and the step-l identity are
+    all instances of this one claim.
+    """
+    a = p.coefficients[order] if order <= p.degree else Fraction(0)
+    claimed = a * step**order * factorial(order)
+    params = DifferenceParams(order=order, step=step)
     if mode == SYMBOLIC:
         s = alternating_sum_symbolic(p, params)
-        claimed = Polynomial.constant(claimed_constant)
-        return IdentityReport(
-            name, f"{parameters} mode=symbolic x=ignored", claimed, s, s == claimed, witness=s
-        )
+        claimed = Polynomial.constant(claimed)
+        return IdentityReport(name, f"{parameters} mode=symbolic x=ignored", claimed, s, s == claimed, witness=s)
     value = alternating_sum_numeric(p, params, x)
-    return IdentityReport(name, f"{parameters} x={x}", claimed_constant, value, value == claimed_constant)
+    return IdentityReport(name, f"{parameters} x={x}", claimed, value, value == claimed)
 
 
 def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
@@ -105,91 +107,44 @@ def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport
     n = 0 is allowed: the sum is the single term (x-0)^0 = 1 = 0!.
     """
     _check_mode(mode)
+    parameters = f"n={n}"
     if n < 0:
-        return _input_error(TEPPER, f"n={n}", "n must be >= 0")
-    return _constant_identity_report(
-        TEPPER,
-        f"n={n}",
-        Polynomial.monomial(n),
-        DifferenceParams(order=n, step=1),
-        Fraction(factorial(n)),
-        as_fraction(x),
-        mode,
-    )
+        return _input_error(TEPPER, parameters, "n must be >= 0")
+    return _step_sum_report(TEPPER, parameters, Polynomial.monomial(n), n, 1, as_fraction(x), mode)
 
 
 def verify_lemma(p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
     """The order-n alternating sum annihilates any polynomial of degree < n."""
     _check_mode(mode)
     xf = as_fraction(x)
-    poly_text = render_polynomial(p)
+    parameters = f'poly="{render_polynomial(p)}" n={n}'
     if n < 0:
-        return _input_error(LEMMA_VANISHING, f'poly="{poly_text}" n={n}', "n must be >= 0")
+        return _input_error(LEMMA_VANISHING, parameters, "n must be >= 0")
     if not p.degree < n:
-        return _input_error(
-            LEMMA_VANISHING,
-            f'poly="{poly_text}" n={n}',
-            f"degree not less than n (deg P = {p.degree}, n = {n})",
-        )
-    return _constant_identity_report(
-        LEMMA_VANISHING,
-        f'poly="{poly_text}" n={n}',
-        p,
-        DifferenceParams(order=n, step=1),
-        Fraction(0),
-        xf,
-        mode,
-    )
+        return _input_error(LEMMA_VANISHING, parameters, f"degree not less than n (deg P = {p.degree}, n = {n})")
+    return _step_sum_report(LEMMA_VANISHING, parameters, p, n, 1, xf, mode)
 
 
 def verify_generalized(p: Polynomial, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
     """For deg P = n, the order-n alternating sum is the constant a_n * n!."""
     _check_mode(mode)
     xf = as_fraction(x)
-    poly_text = render_polynomial(p)
+    parameters = f'poly="{render_polynomial(p)}"'
     if p.is_zero():
-        return _input_error(
-            GENERALIZED_TEPPER,
-            f'poly="{poly_text}"',
-            "zero polynomial has no degree or leading coefficient",
-        )
-    n = p.degree
-    claimed = p.leading_coefficient * factorial(n)
-    return _constant_identity_report(
-        GENERALIZED_TEPPER,
-        f'poly="{poly_text}" n={n}',
-        p,
-        DifferenceParams(order=n, step=1),
-        claimed,
-        xf,
-        mode,
-    )
+        return _input_error(GENERALIZED_TEPPER, parameters, "zero polynomial has no degree or leading coefficient")
+    return _step_sum_report(GENERALIZED_TEPPER, f"{parameters} n={p.degree}", p, p.degree, 1, xf, mode)
 
 
 def verify_conjecture(p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
     """With shifts x - l*k the order-n sum is the constant a_n * l^n * n!."""
     _check_mode(mode)
     xf = as_fraction(x)
-    poly_text = render_polynomial(p)
+    parameters = f'poly="{render_polynomial(p)}" l={l}'
     if l < 1:
-        return _input_error(CONJECTURE_STEP_L, f'poly="{poly_text}" l={l}', "step l must be >= 1")
+        return _input_error(CONJECTURE_STEP_L, parameters, "step l must be >= 1")
     if p.is_zero():
-        return _input_error(
-            CONJECTURE_STEP_L,
-            f'poly="{poly_text}" l={l}',
-            "zero polynomial has no degree or leading coefficient",
-        )
-    n = p.degree
-    claimed = p.leading_coefficient * l**n * factorial(n)
-    return _constant_identity_report(
-        CONJECTURE_STEP_L,
-        f'poly="{poly_text}" l={l} n={n}',
-        p,
-        DifferenceParams(order=n, step=l),
-        claimed,
-        xf,
-        mode,
-    )
+        return _input_error(CONJECTURE_STEP_L, parameters, "zero polynomial has no degree or leading coefficient")
+    return _step_sum_report(CONJECTURE_STEP_L, f"{parameters} n={p.degree}", p, p.degree, l, xf, mode)
 
 
 def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:

@@ -34,7 +34,6 @@ class ModularCheck:
     modulus: int
     computed_residue: int
     expected_residue: int
-    passed: bool
     route: str
 
     def __post_init__(self) -> None:
@@ -43,13 +42,15 @@ class ModularCheck:
         for residue in (self.computed_residue, self.expected_residue):
             if not 0 <= residue < self.modulus:
                 raise InputError("residues must lie in [0, modulus)")
-        if self.passed != (self.computed_residue == self.expected_residue):
-            raise InputError("passed must reflect residue equality")
+
+    @property
+    def passed(self) -> bool:
+        return self.computed_residue == self.expected_residue
 
 
 def _wilson_check(p: int, computed: int, route: str) -> ModularCheck:
     """A computed (p-1)! mod p against the Wilson residue p - 1."""
-    return ModularCheck(p, computed, p - 1, computed == p - 1, route)
+    return ModularCheck(p, computed, p - 1, route)
 
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:

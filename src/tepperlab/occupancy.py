@@ -44,11 +44,11 @@ class OccupancyResult:
 
     closed_form: int
     oracle: int | None
-    agrees: bool | None
 
-    def __post_init__(self) -> None:
-        if self.oracle is not None and self.agrees != (self.closed_form == self.oracle):
-            raise InputError("agrees must reflect closed_form == oracle")
+    @property
+    def agrees(self) -> bool | None:
+        """None when the oracle did not run, else whether it matches the closed form."""
+        return None if self.oracle is None else self.closed_form == self.oracle
 
 
 def surjection_count(onto: int, domain: int) -> int:
@@ -96,10 +96,8 @@ def check_occupancy(
 ) -> OccupancyResult:
     """Closed form, optionally cross-checked against the enumeration oracle."""
     closed = exact_occupancy_count(params)
-    if not with_oracle:
-        return OccupancyResult(closed_form=closed, oracle=None, agrees=None)
-    oracle = brute_force_occupancy(params, budget=budget)
-    return OccupancyResult(closed_form=closed, oracle=oracle, agrees=closed == oracle)
+    oracle = brute_force_occupancy(params, budget=budget) if with_oracle else None
+    return OccupancyResult(closed_form=closed, oracle=oracle)
 
 
 def alternating_power_sum(n: int, p: int) -> int:

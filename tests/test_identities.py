@@ -274,3 +274,41 @@ def test_symbolic_sum_matches_independent_expansion(p, step):
     # library route vs. in-test oracle built from raw binomial expansion
     report = verify_conjecture(p, step, mode=SYMBOLIC)
     assert report.computed == oracle_alternating_sum(p, int(p.degree), step)
+
+
+_LINEAR_QUADRATIC = Polynomial((1, 3, 1))  # x^2 + 3x + 1
+_QUADRATIC = Polynomial((9, -1, 5))  # 5x^2 - x + 9
+_CUBIC = Polynomial((0, -1, 0, 2))  # 2x^3 - x
+_NO_LEADING = "zero polynomial has no degree or leading coefficient"
+
+
+@pytest.mark.parametrize("mode", [SYMBOLIC, NUMERIC])
+@pytest.mark.parametrize(
+    "verify, args, base, error",
+    [
+        (verify_tepper, (3,), "n=3", None),
+        (verify_tepper, (-1,), "n=-1", "n must be >= 0"),
+        (verify_lemma, (_LINEAR_QUADRATIC, 3), 'poly="x^2 + 3*x + 1" n=3', None),
+        (verify_lemma, (_LINEAR_QUADRATIC, -1), 'poly="x^2 + 3*x + 1" n=-1', "n must be >= 0"),
+        (
+            verify_lemma,
+            (Polynomial.monomial(3), 3),
+            'poly="x^3" n=3',
+            "degree not less than n (deg P = 3, n = 3)",
+        ),
+        (verify_generalized, (_QUADRATIC,), 'poly="5*x^2 - x + 9" n=2', None),
+        (verify_generalized, (Polynomial.zero(),), 'poly="0"', _NO_LEADING),
+        (verify_conjecture, (_CUBIC, 2), 'poly="2*x^3 - x" l=2 n=3', None),
+        (verify_conjecture, (_CUBIC, 0), 'poly="2*x^3 - x" l=0', "step l must be >= 1"),
+        (verify_conjecture, (Polynomial.zero(), 2), 'poly="0" l=2', _NO_LEADING),
+    ],
+)
+def test_exact_parameter_strings(verify, args, base, error, mode):
+    report = verify(*args, Fraction(-3, 2), mode)
+    assert report.error == error
+    if error is not None:
+        assert report.parameters == base
+    elif mode == SYMBOLIC:
+        assert report.parameters == base + " mode=symbolic x=ignored"
+    else:
+        assert report.parameters == base + " x=-3/2"
