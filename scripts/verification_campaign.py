@@ -59,7 +59,7 @@ def main() -> int:
     instances = 1000
     for _ in range(instances):
         p = random_polynomial(rng, rng.randint(0, args.max_degree))
-        params = DifferenceParams(order=rng.randint(0, 10), step=rng.randint(1, 5))
+        params = DifferenceParams(order=rng.randint(0, args.max_degree), step=rng.randint(1, args.max_step))
         agreements += iterated_difference(p, params) == alternating_sum_symbolic(p, params)
     all_ok &= banner("dual-path agreement", agreements, instances, time.perf_counter() - start)
 

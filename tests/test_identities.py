@@ -1,14 +1,14 @@
 """Verifier reports: exact claims, witnesses, input-error discipline."""
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from strategies import nonzero_polynomials, polynomials, rationals
-from tepperlab import InputError, Polynomial
+from tepperlab import DifferenceParams, InputError, Polynomial, iterated_difference
 from tepperlab.identities import (
     CONJECTURE_STEP_L,
     GENERALIZED_TEPPER,
@@ -312,3 +312,17 @@ def test_exact_parameter_strings(verify, args, base, error, mode):
         assert report.parameters == base + " mode=symbolic x=ignored"
     else:
         assert report.parameters == base + " x=-3/2"
+
+
+def test_tepper_symbolic_at_high_degree():
+    # The shifted monomials reach coefficients of hundreds of bits.
+    report = verify_tepper(150)
+    assert report.passed
+    assert report.witness == Polynomial.constant(factorial(150))
+
+
+def test_conjecture_symbolic_at_high_degree_matches_iterated_difference():
+    p = random_polynomial(random.Random(60), 60)
+    report = verify_conjecture(p, 3)
+    assert report.passed
+    assert report.witness == iterated_difference(p, DifferenceParams(order=60, step=3))

@@ -1,6 +1,8 @@
 """Polynomial arithmetic, Taylor shift, and canonical-form invariants."""
 from fractions import Fraction
+from math import gcd
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -8,6 +10,39 @@ from strategies import polynomials, rationals
 from tepperlab import InputError, Polynomial
 
 X_CUBED = Polynomial.monomial(3)
+
+# Offsets and points: rationals, mostly non-integer ones, and plain ints.
+scalars = st.one_of(
+    rationals(), st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(2, 60)), st.integers(-10**6, 10**6)
+)
+# The zero polynomial, constants, and polynomials of higher degree.
+small_polynomials = st.one_of(polynomials(0), polynomials())
+
+
+def reference_shift(coeffs, offset):
+    """P(x - offset) by synthetic division over Fraction, the kernel's reference."""
+    t = -Fraction(offset)
+    coeffs = list(coeffs)
+    n = len(coeffs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            coeffs[j] += t * coeffs[j + 1]
+    return tuple(coeffs)
+
+
+def reference_evaluate(coeffs, point):
+    """P(point) by Horner's scheme over Fraction, the kernel's reference."""
+    x = Fraction(point)
+    result = Fraction(0)
+    for c in reversed(coeffs):
+        result = result * x + c
+    return result
+
+
+def assert_reduced_fraction(value):
+    assert type(value) is Fraction
+    assert value.denominator > 0
+    assert gcd(value.numerator, value.denominator) == 1
 
 
 def test_evaluate_monomial_power():
@@ -77,6 +112,45 @@ def test_floats_are_rejected():
         Polynomial((0.5, 1))
     with pytest.raises(InputError):
         Polynomial((1, 1)).evaluate(0.5)
+    with pytest.raises(InputError):
+        Polynomial((1, 1)).shift(0.5)
+    with pytest.raises(InputError):
+        Polynomial.zero().shift(0.5)
+
+
+@given(small_polynomials, scalars)
+def test_shift_equals_fraction_reference(p, offset):
+    q = p.shift(offset)
+    assert q.coefficients == reference_shift(p.coefficients, offset)
+    for c in q.coefficients:
+        assert_reduced_fraction(c)
+
+
+@given(small_polynomials, scalars)
+def test_evaluate_equals_fraction_reference(p, point):
+    value = p.evaluate(point)
+    assert value == reference_evaluate(p.coefficients, point)
+    assert_reduced_fraction(value)
+
+
+def test_kernels_equal_reference_on_a_grid_of_denominators():
+    p = Polynomial((Fraction(-7, 6), 3, Fraction(5, 4), 0, Fraction(-2, 9), 1))
+    for b in range(1, 13):
+        for a in range(-12, 13):
+            t = Fraction(a, b)
+            assert p.shift(t).coefficients == reference_shift(p.coefficients, t)
+            assert p.evaluate(t) == reference_evaluate(p.coefficients, t)
+
+
+def test_kernels_accept_string_and_subclass_scalars():
+    class Half(Fraction):
+        pass
+
+    p = Polynomial((Fraction(1, 3), "-2/7", 5))
+    for scalar in ("3/4", Half(1, 2), -4):
+        assert p.shift(scalar).coefficients == reference_shift(p.coefficients, scalar)
+        assert p.evaluate(scalar) == reference_evaluate(p.coefficients, scalar)
+    assert type(Polynomial((Half(1, 2),)).coefficients[0]) is Fraction
 
 
 @given(polynomials(), rationals(), rationals())
