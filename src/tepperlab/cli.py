@@ -151,9 +151,12 @@ def _default_budget() -> int:
     if raw is None:
         return occupancy.DEFAULT_ENUMERATION_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise InputError(f"{BUDGET_ENV_VAR} must be an integer, not {raw!r}")
+    if budget < 1:
+        raise InputError(f"{BUDGET_ENV_VAR} must be >= 1, not {budget}")
+    return budget
 
 
 def _resolve_mode(options: argparse.Namespace) -> str:

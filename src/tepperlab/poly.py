@@ -1,20 +1,23 @@
 """Dense univariate polynomials over exact rationals.
 
-A polynomial is a tuple of ``Fraction`` coefficients, lowest degree first:
-``(a0, a1, ..., an)`` with the last entry nonzero.  The zero polynomial is
-the empty tuple.  Its degree is -1, below the degree of every nonzero
-polynomial, so a test like ``p.degree < n`` holds for it at every n >= 0.
+A polynomial reads as a tuple of ``Fraction`` coefficients, lowest degree
+first: ``(a0, a1, ..., an)`` with the last entry nonzero.  The zero
+polynomial is the empty tuple.  Its degree is -1, below the degree of every
+nonzero polynomial, so a test like ``p.degree < n`` holds for it at every
+n >= 0.
 
-The two O(deg^2) kernels, Taylor shift and Horner evaluation, clear the
-denominators first and run over plain ``int``; their results turn back into
-reduced ``Fraction`` coefficients only at the end of each call.
+Inside, a polynomial is stored as integer numerators over one common
+denominator, a_i = m_i / d, kept canonical: d > 0, gcd(m_0, ..., m_n, d) = 1
+and m_n != 0 (the zero polynomial is no numerators over d = 1).  Shift,
+scale, sum, difference and Horner evaluation all run on these integers; the
+tuple of reduced ``Fraction``s is built only when ``coefficients`` is read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .errors import InputError
@@ -29,17 +32,52 @@ def as_fraction(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+class _Coefficients:
+    """The ``coefficients`` field: default ``()``; on a polynomial built from
+    integers, the reduced ``Fraction``s m_i / d, computed once and cached."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return ()
+        d = instance._denominator
+        coeffs = tuple(Fraction(m, d) for m in instance._numerators)
+        instance.__dict__["coefficients"] = coeffs
+        return coeffs
+
+
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Immutable dense polynomial; coefficient i multiplies x**i."""
 
-    coefficients: tuple[Fraction, ...] = ()
+    coefficients: tuple[Fraction, ...] = _Coefficients()
 
     def __post_init__(self) -> None:
         coeffs = tuple(c if type(c) is Fraction else as_fraction(c) for c in self.coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
+        # d is the lcm of the reduced denominators, so gcd(m_i..., d) = 1.
+        d = lcm(*(c.denominator for c in coeffs))
+        object.__setattr__(self, "_numerators", tuple(c.numerator * (d // c.denominator) for c in coeffs))
+        object.__setattr__(self, "_denominator", d)
+
+    @classmethod
+    def _from_integers(cls, numerators: tuple[int, ...], denominator: int) -> "Polynomial":
+        """The polynomial sum(m_i x^i) / d from numerators already in canonical form."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_numerators", numerators)
+        object.__setattr__(p, "_denominator", denominator)
+        return p
+
+    @classmethod
+    def _reduced(cls, numerators: list[int], denominator: int) -> "Polynomial":
+        """The polynomial sum(m_i x^i) / d for any integers m_i and d > 0."""
+        while numerators and numerators[-1] == 0:
+            numerators.pop()
+        g = gcd(denominator, *numerators)  # math.gcd stops reducing at the first 1; zero gets d = 1
+        if g > 1:
+            numerators, denominator = [m // g for m in numerators], denominator // g
+        return cls._from_integers(tuple(numerators), denominator)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -60,73 +98,84 @@ class Polynomial:
         return cls((Fraction(0),) * power + (c,))
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._numerators
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self._numerators) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
+        if not self._numerators:
             raise InputError("the zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return Fraction(self._numerators[-1], self._denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._numerators == other._numerators and self._denominator == other._denominator
+
+    def __hash__(self) -> int:
+        return hash((self._numerators, self._denominator))
 
     def evaluate(self, point: Scalar) -> Fraction:
         """P(point) by Horner's scheme, exact.
 
-        At point u/v the scheme runs over integers: with d the common
-        denominator of the coefficients, P(u/v) = sum(d*c_i * u^i * v^(n-i)) / (d * v^n).
+        At point u/v the scheme runs over the stored integers:
+        P(u/v) = sum(m_i * u^i * v^(n-i)) / (d * v^n).
         """
         x = as_fraction(point)
-        if not self.coefficients:
+        if not self._numerators:
             return Fraction(0)
         u, v = x.numerator, x.denominator
-        numerators, d = self._cleared_numerators()
         result, v_power = 0, 1
-        for m in reversed(numerators):
+        for m in reversed(self._numerators):
             result = result * u + m * v_power
             v_power *= v
-        return Fraction(result, d * v ** self.degree)
+        return Fraction(result, self._denominator * v**self.degree)
 
     def shift(self, offset: Scalar) -> "Polynomial":
         """The polynomial Q with Q(x) = P(x - offset).
 
         Horner-style Taylor shift: repeated synthetic division by (x + offset),
-        O(deg^2) coefficient operations.  At offset a/b, with y = b*x and d the
-        common denominator, P(x - a/b) = sum(m_i * (y - a)^i) / (d * b^n) for
-        the integers m_i = d*c_i * b^(n-i); the division runs on the m_i with
-        the integer a, and y^j = b^j * x^j turns the result back.
+        O(deg^2) integer operations.  At offset a/b, with y = b*x,
+        P(x - a/b) = sum(m_i * b^(n-i) * (y - a)^i) / (d * b^n); the division
+        runs on the integers m_i * b^(n-i) with the integer a, and
+        y^j = b^j * x^j turns the result back.  An integer shift (b = 1) keeps
+        the gcd of the numerators, so its result is canonical as it stands.
         """
         t = as_fraction(offset)
         n = self.degree
         if n < 1:  # zero and constants are unchanged by a shift
             return self
         a, b = t.numerator, t.denominator
-        numerators, d = self._cleared_numerators()
-        coeffs = [m * b ** (n - i) for i, m in enumerate(numerators)]
+        coeffs = [m * b ** (n - i) for i, m in enumerate(self._numerators)]
         for i in range(n):
+            carry = coeffs[n]
             for j in range(n - 1, i - 1, -1):
-                coeffs[j] -= a * coeffs[j + 1]
-        denominator = d * b**n
-        return Polynomial(tuple(Fraction(r * b**j, denominator) for j, r in enumerate(coeffs)))
-
-    def _cleared_numerators(self) -> tuple[list[int], int]:
-        """The integers d*c_i and their common denominator d, the lcm of the c_i's."""
-        d = lcm(*(c.denominator for c in self.coefficients))
-        return [c.numerator * (d // c.denominator) for c in self.coefficients], d
+                carry = coeffs[j] = coeffs[j] - a * carry
+        if b == 1:
+            return Polynomial._from_integers(tuple(coeffs), self._denominator)
+        return Polynomial._reduced([r * b**j for j, r in enumerate(coeffs)], self._denominator * b**n)
 
     def scale(self, factor: Scalar) -> "Polynomial":
         f = as_fraction(factor)
-        return Polynomial(tuple(f * c for c in self.coefficients))
+        p, q = f.numerator, f.denominator
+        return Polynomial._reduced([m * p for m in self._numerators], self._denominator * q)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
+        d = lcm(self._denominator, other._denominator)
+        f, g = d // self._denominator, sign * (d // other._denominator)
+        pairs = zip_longest(self._numerators, other._numerators, fillvalue=0)
+        return Polynomial._reduced([f * m + g * k for m, k in pairs], d)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=Fraction(0))
-        return Polynomial(tuple(a + b for a, b in pairs))
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
+        return Polynomial._from_integers(tuple(-m for m in self._numerators), self._denominator)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._combine(other, -1)

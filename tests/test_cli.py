@@ -97,6 +97,17 @@ def test_budget_env_must_be_integer(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_budget_env_must_be_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
+    code, _, err = run_cli(
+        capsys, "occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--oracle"
+    )
+    assert code == 2
+    assert err.startswith("INPUT-ERROR")
+    assert cli.BUDGET_ENV_VAR in err
+
+
 def test_json_schema_fields(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--poly", "x^2", "--l", "3", "--format", "json")
     assert code == 0

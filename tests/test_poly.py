@@ -1,5 +1,6 @@
 """Polynomial arithmetic, Taylor shift, and canonical-form invariants."""
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import hypothesis.strategies as st
@@ -15,6 +16,8 @@ X_CUBED = Polynomial.monomial(3)
 scalars = st.one_of(
     rationals(), st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(2, 60)), st.integers(-10**6, 10**6)
 )
+# Scale factors: rationals, plain ints and zero.
+factors = st.one_of(rationals(), st.integers(-10**6, 10**6), st.just(0))
 # The zero polynomial, constants, and polynomials of higher degree.
 small_polynomials = st.one_of(polynomials(0), polynomials())
 
@@ -39,10 +42,41 @@ def reference_evaluate(coeffs, point):
     return result
 
 
+def canonical(coeffs):
+    """A coefficient tuple without trailing zeros, as the references return it."""
+    coeffs = tuple(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def reference_scale(coeffs, factor):
+    return canonical(Fraction(factor) * c for c in coeffs)
+
+
+def reference_add(left, right):
+    return canonical(a + b for a, b in zip_longest(left, right, fillvalue=Fraction(0)))
+
+
+def reference_sub(left, right):
+    return canonical(a - b for a, b in zip_longest(left, right, fillvalue=Fraction(0)))
+
+
+def reference_neg(coeffs):
+    return tuple(-c for c in coeffs)
+
+
 def assert_reduced_fraction(value):
     assert type(value) is Fraction
     assert value.denominator > 0
     assert gcd(value.numerator, value.denominator) == 1
+
+
+def assert_canonical_coefficients(p):
+    for c in p.coefficients:
+        assert_reduced_fraction(c)
+    assert not p.coefficients or p.coefficients[-1] != 0
+    assert p.degree == len(p.coefficients) - 1
 
 
 def test_evaluate_monomial_power():
@@ -183,3 +217,60 @@ def test_operations_output_canonical_form(p, q, c):
         assert result == Polynomial(result.coefficients)
         assert not result.coefficients or result.coefficients[-1] != 0
         assert all(isinstance(v, Fraction) for v in result.coefficients)
+
+
+@given(small_polynomials, factors)
+def test_scale_equals_fraction_reference(p, factor):
+    q = p.scale(factor)
+    assert q.coefficients == reference_scale(p.coefficients, factor)
+    assert_canonical_coefficients(q)
+
+
+@given(small_polynomials, small_polynomials)
+def test_add_sub_neg_equal_fraction_references(p, q):
+    for result, expected in (
+        (p + q, reference_add(p.coefficients, q.coefficients)),
+        (p - q, reference_sub(p.coefficients, q.coefficients)),
+        (-p, reference_neg(p.coefficients)),
+    ):
+        assert result.coefficients == expected
+        assert_canonical_coefficients(result)
+
+
+@given(small_polynomials, st.one_of(st.just(1), factors), rationals())
+def test_add_sub_across_denominators_and_cancellation(p, factor, c):
+    # q is p up to a factor plus a constant: the operands' denominators differ,
+    # and at factor 1 the difference cancels down to the constant -c.
+    q = p.scale(factor) + Polynomial.constant(c)
+    for result, expected in (
+        (p + q, reference_add(p.coefficients, q.coefficients)),
+        (p - q, reference_sub(p.coefficients, q.coefficients)),
+    ):
+        assert result.coefficients == expected
+        assert_canonical_coefficients(result)
+
+
+@given(small_polynomials, small_polynomials, scalars, st.integers(1, 10**4))
+def test_operations_round_trip_to_the_same_polynomial(p, q, offset, d):
+    assert p.shift(offset).shift(-Fraction(offset)) == p
+    assert (p + q) - q == p
+    assert p.scale(Fraction(1, d)).scale(d) == p
+    difference = p - p
+    assert difference == Polynomial.zero()
+    assert difference.degree == -1
+
+
+@given(small_polynomials, small_polynomials, scalars)
+def test_equal_polynomials_hash_equal_and_repr_alike(p, q, offset):
+    for result in (p + q, p - q, -p, p.scale(offset), p.shift(offset)):
+        rebuilt = Polynomial(result.coefficients)
+        assert result == rebuilt
+        assert hash(result) == hash(rebuilt)
+        assert repr(result) == repr(rebuilt)
+
+
+def test_distinct_polynomials_differ():
+    assert Polynomial((1, 2)) != Polynomial((1, 2, 3))
+    assert Polynomial((Fraction(1, 2),)) != Polynomial((1,))
+    assert Polynomial((1,)) != Fraction(1)
+    assert Polynomial() == Polynomial.zero()

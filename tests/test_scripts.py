@@ -1,4 +1,5 @@
-"""Smoke tests: the demo and campaign scripts run to completion and pass."""
+"""Smoke tests: the demo, campaign and benchmark scripts run to completion and pass."""
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,14 @@ def test_verification_campaign_small():
     lines = result.stdout.splitlines()
     assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines), result.stdout
+
+
+@pytest.mark.parametrize("workload", ["symbolic_highdeg", "cli_mix"])
+def test_benchmark_traced_run_records_every_required_layer(workload):
+    # The traced run fails when a layer the workload must exercise records no
+    # calls, e.g. when library code stops going through a wrapped Polynomial method.
+    result = run_script(
+        "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True
