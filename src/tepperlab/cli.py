@@ -2,7 +2,11 @@
 power-sum classifier, and the Wilson routes, with text or JSON output.
 
 Exit codes: 0 when every emitted report passed, 1 when some check failed,
-2 on input or usage errors, 3 when an enumeration budget was exhausted.
+2 on input or usage errors, 3 when an enumeration budget was exhausted,
+4 on an internal error (a broken invariant, never the input's fault), with
+an ``INTERNAL-ERROR <type>: <message>`` line on stderr.
+
+Exact values are rendered in full at any size.
 
 JSON mode writes one object per report to stdout (machine-readable stream);
 diagnostics and the sweep summary go to stderr.  Identical configurations,
@@ -22,7 +26,7 @@ from . import identities, numtheory, occupancy
 from .errors import BudgetExceededError, InputError
 from .identities import IDENTITY_NAMES, IdentityReport
 from .numtheory import ModularCheck
-from .parser import parse_polynomial, render_polynomial
+from .parser import _render_rational, parse_polynomial, render_polynomial
 from .poly import Polynomial
 
 DEFAULT_SEED = 0
@@ -32,6 +36,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = 1
 
@@ -83,7 +88,7 @@ def _render_value(value) -> str | None:
         return None
     if isinstance(value, Polynomial):
         return render_polynomial(value)
-    return str(value)
+    return _render_rational(value)
 
 
 def _row_from_identity(report: IdentityReport) -> ReportRow:
@@ -217,19 +222,20 @@ def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
     result = occupancy.check_occupancy(params, with_oracle=options.oracle, budget=budget)
     parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
     passed = result.agrees is not False
-    oracle_text = str(result.oracle) if result.oracle is not None else "skipped"
+    closed_text = _render_rational(result.closed_form)
+    oracle_text = _render_rational(result.oracle) if result.oracle is not None else "skipped"
     verdict = "agrees" if result.agrees else ("disagrees" if result.agrees is False else "unchecked")
     text = (
         f"{'PASS' if passed else 'FAIL'} occupancy {parameters} "
-        f"closed_form={result.closed_form} oracle={oracle_text} {verdict}"
+        f"closed_form={closed_text} oracle={oracle_text} {verdict}"
     )
     return [
         ReportRow(
             kind="command",
             name="occupancy",
             parameters=parameters,
-            claimed=str(result.closed_form),
-            computed=str(result.oracle) if result.oracle is not None else str(result.closed_form),
+            claimed=closed_text,
+            computed=oracle_text if result.oracle is not None else closed_text,
             passed=passed,
             text=text,
         )
@@ -377,6 +383,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"INPUT-ERROR {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        print(f"INTERNAL-ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ Two independent routes compute the same polynomial:
 By the binomial theorem for commuting operators the two results agree
 coefficient-for-coefficient; that agreement is this package's central
 cross-validation and is asserted throughout the test suite.
+
+Both routes run in y = x/l: with S(y) = P(l*y), the term P(x - l*k) is
+S(y - k), so each route dilates P once, takes only unit shifts, which need
+no multiplication, and dilates the result back.
 """
 from __future__ import annotations
 
@@ -48,8 +52,12 @@ def backward_difference(p: Polynomial, step: int = 1) -> Polynomial:
 
 def alternating_sum_symbolic(p: Polynomial, params: DifferenceParams) -> Polynomial:
     """Sum of (-1)^k C(n,k) P(x - l*k) over k = 0..n, as a polynomial."""
-    weights = alternating_binomials(params.order)
-    return sum((p.shift(params.step * k).scale(w) for k, w in enumerate(weights)), Polynomial.zero())
+    term, total = p.dilate(params.step), Polynomial.zero()
+    for k, w in enumerate(alternating_binomials(params.order)):
+        if k:
+            term = term.shift(1)  # S(y - k) from S(y - k + 1)
+        total = total + term.scale(w)
+    return total.dilate(Fraction(1, params.step))
 
 
 def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scalar) -> Fraction:
@@ -65,7 +73,7 @@ def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scal
 
 def iterated_difference(p: Polynomial, params: DifferenceParams) -> Polynomial:
     """backward_difference applied ``order`` times with the given step."""
-    result = p
+    result = p.dilate(params.step)
     for _ in range(params.order):
-        result = backward_difference(result, params.step)
-    return result
+        result = backward_difference(result)
+    return result.dilate(Fraction(1, params.step))

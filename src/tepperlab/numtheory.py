@@ -39,9 +39,11 @@ class ModularCheck:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise InputError("modulus must be >= 2")
+        # Every route reduces mod the modulus, so a residue out of range is a
+        # defect in the route, not a bad input.
         for residue in (self.computed_residue, self.expected_residue):
             if not 0 <= residue < self.modulus:
-                raise InputError("residues must lie in [0, modulus)")
+                raise AssertionError(f"residue {residue} outside [0, {self.modulus})")
 
     @property
     def passed(self) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import BudgetExceededError, InputError
 from .exact import alternating_binomials, binomial
@@ -77,7 +78,8 @@ def brute_force_occupancy(
     total = n**p
     if total > budget:
         raise BudgetExceededError(
-            f"enumerating {n}^{p} = {total} assignments exceeds the budget of {budget}"
+            # Decimal prints n^p in full where str(int) stops at 4300 digits.
+            f"enumerating {n}^{p} = {Decimal(total)} assignments exceeds the budget of {budget}"
         )
     count = 0
     for assignment in itertools.product(range(n), repeat=p):

@@ -15,10 +15,13 @@ character that created the obligation (the dangling '*', '/', '^', or sign),
 so a one-character edit there repairs the parse.
 
 ``render_polynomial`` emits descending powers ("x^3 - 3*x^2 + 3*x - 1") and
-round-trips exactly: parse_polynomial(render_polynomial(p)) == p.
+round-trips exactly: parse_polynomial(render_polynomial(p)) == p.  Both ends
+handle integers of any size: they convert through ``decimal.Decimal``, which
+CPython's limit on int/str conversion (4300 digits by default) does not cover.
 """
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError
@@ -67,7 +70,7 @@ class _Parser:
         start = self.pos
         while (c := self._peek()) is not None and c.isdigit():
             self.pos += 1
-        return int(self.source[start : self.pos]), start
+        return int(Decimal(self.source[start : self.pos])), start
 
     def _coefficient(self) -> Fraction:
         numerator, _ = self._natural("digits", self.pos)
@@ -169,13 +172,22 @@ def parse_polynomial(source: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polyn
     return _Parser(source, degree_cap).parse()
 
 
+def _render_rational(value: int | Fraction) -> str:
+    """str(value) for an int or Fraction of any size: "num/den", or "num" when den = 1."""
+    try:
+        return str(value)
+    except ValueError:  # past CPython's int/str digit limit, which Decimal does not have
+        numerator = str(Decimal(value.numerator))
+        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
+
+
 def _term_body(magnitude: Fraction, power: int) -> str:
     if power == 0:
-        return str(magnitude)
+        return _render_rational(magnitude)
     var = "x" if power == 1 else f"x^{power}"
     if magnitude == 1:
         return var
-    return f"{magnitude}*{var}"
+    return f"{_render_rational(magnitude)}*{var}"
 
 
 def render_polynomial(polynomial: Polynomial) -> str:

@@ -9,8 +9,13 @@ n >= 0.
 Inside, a polynomial is stored as integer numerators over one common
 denominator, a_i = m_i / d, kept canonical: d > 0, gcd(m_0, ..., m_n, d) = 1
 and m_n != 0 (the zero polynomial is no numerators over d = 1).  Shift,
-scale, sum, difference and Horner evaluation all run on these integers; the
-tuple of reduced ``Fraction``s is built only when ``coefficients`` is read.
+dilation, scale, sum, difference and Horner evaluation all run on these
+integers; the tuple of reduced ``Fraction``s is built only when
+``coefficients`` is read.
+
+``dilate(f)`` is P(f*x).  It turns a step-l shift into a unit one:
+P(x - l*k) is S(y - k) for S = P.dilate(l) and y = x/l, and ``shift(1)``
+needs only subtractions, no multiplication.
 """
 from __future__ import annotations
 
@@ -144,20 +149,44 @@ class Polynomial:
         runs on the integers m_i * b^(n-i) with the integer a, and
         y^j = b^j * x^j turns the result back.  An integer shift (b = 1) keeps
         the gcd of the numerators, so its result is canonical as it stands.
+        At a = 1 (offset 1, or 1/b) the division needs no multiplication.
         """
         t = as_fraction(offset)
         n = self.degree
-        if n < 1:  # zero and constants are unchanged by a shift
+        if n < 1 or t == 0:  # P(x - 0) = P, and zero and constants ignore any shift
             return self
         a, b = t.numerator, t.denominator
-        coeffs = [m * b ** (n - i) for i, m in enumerate(self._numerators)]
-        for i in range(n):
-            carry = coeffs[n]
-            for j in range(n - 1, i - 1, -1):
-                carry = coeffs[j] = coeffs[j] - a * carry
+        coeffs = list(self._numerators)
+        if b > 1:
+            coeffs = [m * b ** (n - i) for i, m in enumerate(coeffs)]
+        if a == 1:
+            for i in range(n):
+                carry = coeffs[n]
+                for j in range(n - 1, i - 1, -1):
+                    carry = coeffs[j] = coeffs[j] - carry
+        else:
+            for i in range(n):
+                carry = coeffs[n]
+                for j in range(n - 1, i - 1, -1):
+                    carry = coeffs[j] = coeffs[j] - a * carry
         if b == 1:
             return Polynomial._from_integers(tuple(coeffs), self._denominator)
         return Polynomial._reduced([r * b**j for j, r in enumerate(coeffs)], self._denominator * b**n)
+
+    def dilate(self, factor: Scalar) -> "Polynomial":
+        """The polynomial Q with Q(x) = P(factor * x).
+
+        At factor u/v, Q = sum(m_i * u^i * v^(n-i) * x^i) / (d * v^n),
+        reduced once.
+        """
+        f = as_fraction(factor)
+        n = self.degree
+        if n < 1 or f == 1:  # zero and constants are unchanged by a dilation
+            return self
+        u, v = f.numerator, f.denominator
+        return Polynomial._reduced(
+            [m * u**i * v ** (n - i) for i, m in enumerate(self._numerators)], self._denominator * v**n
+        )
 
     def scale(self, factor: Scalar) -> "Polynomial":
         f = as_fraction(factor)

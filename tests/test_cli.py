@@ -1,5 +1,6 @@
 """CLI surface: text/JSON formats, exit codes, determinism, env overrides."""
 import json
+import math
 
 import pytest
 
@@ -243,3 +244,85 @@ def test_rational_argument_validation():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["tepper", "--n", "3", "--x", "1/0"])
     assert excinfo.value.code == 2
+
+
+def decimal_digits(n):
+    """Decimal digits of n by repeated division by 10^9, without str(int) or Decimal."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while n >= 10**9:
+        n, r = divmod(n, 10**9)
+        chunks.append(f"{r:09d}")
+    return sign + f"{n}" + "".join(reversed(chunks))
+
+
+# (-1)^(p-1) p! at p = 1700, and 1700 passengers filling 1700 wagons: both
+# have 4,756 digits, past CPython's default 4300-digit limit on str(int).
+BIG_FACTORIAL = math.factorial(1700)
+
+
+def test_powersum_renders_every_digit_beyond_the_str_limit(capsys):
+    digits = decimal_digits(-BIG_FACTORIAL)
+    assert len(digits) > 4300
+    code, out, err = run_cli(capsys, "powersum", "--n", "1700", "--p", "1700")
+    assert (code, err) == (0, "")
+    assert out == f"PASS power_sum_factorial n=1700 p=1700 computed={digits} claimed={digits}\n"
+    code, out, err = run_cli(capsys, "powersum", "--n", "1700", "--p", "1700", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["claimed"] == obj["computed"] == digits
+    assert obj["passed"] is True
+
+
+def test_occupancy_renders_every_digit_beyond_the_str_limit(capsys):
+    digits = decimal_digits(BIG_FACTORIAL)
+    argv = ("occupancy", "--wagons", "1700", "--passengers", "1700", "--occupied", "1700")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        f"PASS occupancy wagons=1700 passengers=1700 occupied=1700 closed_form={digits} oracle=skipped unchecked\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["claimed"] == obj["computed"] == digits
+
+
+def test_symbolic_witness_renders_a_coefficient_beyond_the_str_limit(capsys):
+    big = 10**4400 + 7
+    code, out, err = run_cli(capsys, "general", "--poly", f"{decimal_digits(big)}*x^2 + x", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["claimed"] == obj["computed"] == decimal_digits(2 * big)
+
+
+def test_unexpected_exception_exits_4_with_internal_error_line(capsys, monkeypatch):
+    def broken(options):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli._HANDLERS, "tepper", broken)
+    code, out, err = run_cli(capsys, "tepper", "--n", "3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "INTERNAL-ERROR RuntimeError: invariant broken\n"
+
+
+def test_out_of_range_residue_is_an_internal_error_not_an_input_error(capsys, monkeypatch):
+    # A route that forgot to reduce mod p breaks ModularCheck's invariant.
+    monkeypatch.setattr(cli.numtheory, "factorial_mod_naive", lambda n, modulus: modulus + 3)
+    code, out, err = run_cli(capsys, "wilson", "--p", "7")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("INTERNAL-ERROR AssertionError: ")
+    assert "INPUT-ERROR" not in err
+
+
+def test_budget_refusal_of_an_enumeration_beyond_the_str_limit_exits_3(capsys):
+    # 3000^3000 has 10,432 digits; the refusal names it in full.
+    argv = ("occupancy", "--wagons", "3000", "--passengers", "3000", "--occupied", "3000", "--oracle")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"BUDGET-EXCEEDED enumerating 3000^3000 = {decimal_digits(3000**3000)} assignments "
+        "exceeds the budget of 10000000\n"
+    )

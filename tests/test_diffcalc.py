@@ -1,4 +1,5 @@
 """Backward differences vs. direct alternating sums: the dual-route oracle."""
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -131,3 +132,52 @@ def test_vanishing_below_order(p, step):
 def test_pointwise_agrees_with_symbolic(p, order, step, x):
     params = DifferenceParams(order=order, step=step)
     assert alternating_sum_numeric(p, params, x) == alternating_sum_symbolic(p, params).evaluate(x)
+
+
+def reference_symbolic(p, params):
+    """The direct sum term by term: one shift by l*k, a scale and an add per term."""
+    total = Polynomial.zero()
+    for k in range(params.order + 1):
+        total = total + p.shift(params.step * k).scale((-1) ** k * binomial(params.order, k))
+    return total
+
+
+def reference_iterated(p, params):
+    """P |-> P(x) - P(x - l), applied ``order`` times at the original scale."""
+    for _ in range(params.order):
+        p = p - p.shift(params.step)
+    return p
+
+
+def _orders_around(p):
+    """Orders below, at and above the degree (only 0 and above for zero)."""
+    degree = max(p.degree, 0)
+    return sorted({0, max(degree - 1, 0), degree, degree + 1, degree + 3})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(polynomials(0), polynomials(max_degree=9)), st.integers(1, 6))
+def test_routes_equal_reference_algorithms(p, step):
+    for order in _orders_around(p):
+        params = DifferenceParams(order=order, step=step)
+        assert alternating_sum_symbolic(p, params) == reference_symbolic(p, params)
+        assert iterated_difference(p, params) == reference_iterated(p, params)
+
+
+def test_routes_on_zero_constant_and_fractional_polynomials_at_every_step():
+    polys = (
+        Polynomial.zero(),
+        Polynomial.constant(Fraction(-7, 3)),
+        Polynomial((Fraction(1, 2), Fraction(-5, 6), 0, Fraction(7, 4), Fraction(3, 5))),
+        Polynomial.monomial(12, Fraction(-2, 9)),
+    )
+    for p in polys:
+        for step in range(1, 7):
+            for order in _orders_around(p):
+                params = DifferenceParams(order=order, step=step)
+                symbolic = alternating_sum_symbolic(p, params)
+                assert symbolic == reference_symbolic(p, params)
+                assert iterated_difference(p, params) == reference_iterated(p, params)
+                if order == p.degree:
+                    expected = p.leading_coefficient * step**order * math.factorial(order)
+                    assert symbolic == Polynomial.constant(expected)

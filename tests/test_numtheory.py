@@ -14,7 +14,7 @@ from tepperlab import (
     mod_pow,
     wilson_primality,
 )
-from tepperlab.numtheory import ROUTE_FERMAT, ROUTE_TEPPER, factorial_mod_naive_check, is_prime_trial
+from tepperlab.numtheory import ROUTE_FERMAT, ROUTE_TEPPER, ModularCheck, factorial_mod_naive_check, is_prime_trial
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -120,3 +120,15 @@ def test_binomial_residue_shortcut():
     for p in PRIMES_TO_50:
         for k in range(p):
             assert binomial(p - 1, k) % p == (-1) ** k % p
+
+
+@pytest.mark.parametrize("computed, expected", [(7, 6), (-1, 6), (3, 9)])
+def test_out_of_range_residue_breaks_an_invariant_not_an_input_rule(computed, expected):
+    with pytest.raises(AssertionError) as excinfo:
+        ModularCheck(7, computed, expected, ROUTE_TEPPER)
+    assert not isinstance(excinfo.value, InputError)
+
+
+def test_modulus_below_two_stays_an_input_error():
+    with pytest.raises(InputError):
+        ModularCheck(1, 0, 0, ROUTE_TEPPER)

@@ -140,3 +140,20 @@ def test_rejected_mutants_report_actionable_offsets():
         assert _repairs_or_advances(mutant, offset), (mutant, offset)
         checked += 1
     assert checked > 100  # the corpus must actually exercise rejections
+
+
+def _digits(n):
+    """Decimal digits of n >= 0 by repeated division, without str(int) or Decimal."""
+    chunks = []
+    while n >= 10**9:
+        n, r = divmod(n, 10**9)
+        chunks.append(f"{r:09d}")
+    return f"{n}" + "".join(reversed(chunks))
+
+
+def test_coefficients_beyond_the_str_limit_parse_and_render_exactly():
+    numerator, denominator = 3**9500, 2**15000 + 1  # 4,533 and 4,516 digits
+    p = Polynomial((Fraction(numerator, denominator), 0, -numerator))
+    text = render_polynomial(p)
+    assert text == f"-{_digits(numerator)}*x^2 + {_digits(numerator)}/{_digits(denominator)}"
+    assert parse_polynomial(text) == p

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, Taylor shift, and canonical-form invariants."""
 from fractions import Fraction
 from itertools import zip_longest
+import math
 from math import gcd
 
 import hypothesis.strategies as st
@@ -274,3 +275,47 @@ def test_distinct_polynomials_differ():
     assert Polynomial((Fraction(1, 2),)) != Polynomial((1,))
     assert Polynomial((1,)) != Fraction(1)
     assert Polynomial() == Polynomial.zero()
+
+
+def reference_dilate(coeffs, factor):
+    """P(factor * x) coefficient by coefficient over Fraction: c_i * factor^i."""
+    f = Fraction(factor)
+    return canonical(c * f**i for i, c in enumerate(coeffs))
+
+
+# Dilation factors: rationals, negative ints, 0 and 1.
+dilation_factors = st.one_of(rationals(), st.integers(-50, -1), st.just(0), st.just(1))
+
+
+@given(small_polynomials, dilation_factors)
+def test_dilate_equals_fraction_reference(p, factor):
+    q = p.dilate(factor)
+    assert q.coefficients == reference_dilate(p.coefficients, factor)
+    assert_canonical_coefficients(q)
+    assert q == Polynomial(q.coefficients)
+
+
+@given(small_polynomials, dilation_factors.filter(lambda f: f != 0))
+def test_dilate_round_trip(p, factor):
+    assert p.dilate(factor).dilate(1 / Fraction(factor)) == p
+
+
+@given(small_polynomials, rationals(), dilation_factors)
+def test_dilate_evaluation_compatibility(p, x, factor):
+    assert p.dilate(factor).evaluate(x) == p.evaluate(factor * x)
+
+
+@given(small_polynomials)
+def test_unit_and_zero_shifts_equal_fraction_reference(p):
+    for offset in (1, 0, Fraction(1), "1", Fraction(0)):
+        q = p.shift(offset)
+        assert q.coefficients == reference_shift(p.coefficients, offset)
+        assert_canonical_coefficients(q)
+    assert p.shift(0) is p
+
+
+def test_unit_shift_of_a_high_degree_power():
+    # (x - 1)^40 expands to the signed row 40 of Pascal's triangle.
+    p = Polynomial.monomial(40, Fraction(1, 3))
+    expected = tuple(Fraction((-1) ** (40 - i) * math.comb(40, i), 3) for i in range(41))
+    assert p.shift(1).coefficients == expected
