@@ -48,19 +48,15 @@ JSON = "json"
 class ReportRow:
     """Output-ready report: values already rendered to exact strings."""
 
-    kind: str  # "identity_name" or "command"
     name: str
     parameters: str
     claimed: str | None
     computed: str | None
     passed: bool
     witness: str | None = None
-    error: str | None = None
     text: str | None = None  # custom text line, else the standard layout
 
     def text_line(self) -> str:
-        if self.error is not None:
-            return f"INPUT-ERROR {self.error}"
         if self.text is not None:
             return self.text
         status = "PASS" if self.passed else "FAIL"
@@ -72,7 +68,7 @@ class ReportRow:
     def json_object(self) -> dict:
         obj = {
             "schema_version": SCHEMA_VERSION,
-            self.kind: self.name,
+            "identity_name" if self.name in IDENTITY_NAMES else "command": self.name,
             "parameters": self.parameters,
             "claimed": self.claimed,
             "computed": self.computed,
@@ -92,22 +88,21 @@ def _render_value(value) -> str | None:
 
 
 def _row_from_identity(report: IdentityReport) -> ReportRow:
-    kind = "identity_name" if report.identity_name in IDENTITY_NAMES else "command"
+    """The report as a row; a report with ``error`` set raises ``InputError``."""
+    if report.error is not None:
+        raise InputError(report.error)
     return ReportRow(
-        kind=kind,
         name=report.identity_name,
         parameters=report.parameters,
         claimed=_render_value(report.claimed),
         computed=_render_value(report.computed),
         passed=report.passed,
         witness=_render_value(report.witness),
-        error=report.error,
     )
 
 
 def _row_from_modular_check(check: ModularCheck, parameters: str) -> ReportRow:
     return ReportRow(
-        kind="command",
         name="wilson",
         parameters=parameters,
         claimed=str(check.expected_residue),
@@ -121,7 +116,6 @@ def _row_from_primality_check(check: ModularCheck) -> ReportRow:
     n = check.modulus
     trial_says_prime = numtheory.is_prime_trial(n)
     return ReportRow(
-        kind="command",
         name="wilson",
         parameters=f"n={n} route={check.route} residue={check.computed_residue}",
         claimed="prime" if trial_says_prime else "composite",
@@ -231,7 +225,6 @@ def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
     )
     return [
         ReportRow(
-            kind="command",
             name="occupancy",
             parameters=parameters,
             claimed=closed_text,
@@ -246,6 +239,8 @@ def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
     if (options.p is None) == (options.upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
     if options.upto is not None:
+        if options.upto > options.limit:
+            raise InputError(f"N = {options.upto} exceeds the input limit {options.limit}")
         checks = map(numtheory.factorial_mod_naive_check, range(2, options.upto + 1))
         return [_row_from_primality_check(check) for check in checks]
     p = options.p
@@ -348,22 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(rows: Sequence[ReportRow], output_format: str, summary: str | None) -> int:
-    input_errors = [row for row in rows if row.error is not None]
-    failures = [row for row in rows if row.error is None and not row.passed]
     for row in rows:
-        if row.error is not None:
-            print(row.text_line(), file=sys.stderr)
-        elif output_format == JSON:
+        if output_format == JSON:
             print(json.dumps(row.json_object(), separators=(",", ":")))
         else:
             print(row.text_line())
     if summary is not None:
         print(summary, file=sys.stderr if output_format == JSON else sys.stdout)
-    if input_errors:
-        return EXIT_INPUT_ERROR
-    if failures:
-        return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_OK if all(row.passed for row in rows) else EXIT_FAIL
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -372,10 +359,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows = _HANDLERS[options.command](options)
         summary = None
         if options.command == "sweep":
-            passed = sum(1 for r in rows if r.error is None and r.passed)
-            failed = sum(1 for r in rows if r.error is None and not r.passed)
-            errors = sum(1 for r in rows if r.error is not None)
-            summary = f"sweep: total={len(rows)} passed={passed} failed={failed} input-errors={errors}"
+            # An error report raises in _row_from_identity, so none reach here.
+            passed = sum(1 for r in rows if r.passed)
+            summary = f"sweep: total={len(rows)} passed={passed} failed={len(rows) - passed} input-errors=0"
         return _emit(rows, options.format, summary)
     except BudgetExceededError as exc:
         print(f"BUDGET-EXCEEDED {exc}", file=sys.stderr)

@@ -22,9 +22,9 @@ from typing import Union
 
 from .diffcalc import DifferenceParams, alternating_sum_numeric, alternating_sum_symbolic
 from .errors import InputError
-from .exact import alternating_binomials, binomial, factorial
+from .exact import alternating_binomials, factorial
 from .occupancy import alternating_power_sum
-from .parser import render_polynomial
+from .parser import _render_rational, render_polynomial
 from .poly import Polynomial, Scalar, as_fraction
 
 SYMBOLIC = "symbolic"
@@ -160,12 +160,12 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     xf = as_fraction(x)
     weights = alternating_binomials(n)
     inner = [sum(w * (-k) ** (n - j) for k, w in enumerate(weights)) for j in range(n + 1)]
-    witness = Polynomial(tuple(Fraction(binomial(n, j) * inner[j]) for j in range(n + 1)))
+    witness = Polynomial(tuple(Fraction(abs(weights[j]) * inner[j]) for j in range(n + 1)))
     total_at_x = witness.evaluate(xf)
     claimed = Fraction(factorial(n))
     inner_ok = inner[0] == factorial(n) and all(v == 0 for v in inner[1:])
     passed = inner_ok and total_at_x == claimed
-    parameters = f"n={n} x={xf} route=expansion inner={inner}"
+    parameters = f"n={n} x={xf} route=expansion inner=[{', '.join(map(_render_rational, inner))}]"
     return IdentityReport(TEPPER, parameters, claimed, total_at_x, passed, witness=witness)
 
 

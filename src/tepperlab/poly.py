@@ -13,9 +13,9 @@ dilation, scale, sum, difference and Horner evaluation all run on these
 integers; the tuple of reduced ``Fraction``s is built only when
 ``coefficients`` is read.
 
-``dilate(f)`` is P(f*x).  It turns a step-l shift into a unit one:
-P(x - l*k) is S(y - k) for S = P.dilate(l) and y = x/l, and ``shift(1)``
-needs only subtractions, no multiplication.
+``dilate(f)`` is P(f*x).  ``shift`` has one synthetic-division loop, the
+unit shift, which needs only subtractions; any other offset t runs as
+``dilate(t).shift(1).dilate(1/t)``.
 """
 from __future__ import annotations
 
@@ -143,35 +143,24 @@ class Polynomial:
     def shift(self, offset: Scalar) -> "Polynomial":
         """The polynomial Q with Q(x) = P(x - offset).
 
-        Horner-style Taylor shift: repeated synthetic division by (x + offset),
-        O(deg^2) integer operations.  At offset a/b, with y = b*x,
-        P(x - a/b) = sum(m_i * b^(n-i) * (y - a)^i) / (d * b^n); the division
-        runs on the integers m_i * b^(n-i) with the integer a, and
-        y^j = b^j * x^j turns the result back.  An integer shift (b = 1) keeps
-        the gcd of the numerators, so its result is canonical as it stands.
-        At a = 1 (offset 1, or 1/b) the division needs no multiplication.
+        The unit shift is repeated synthetic division by (x + 1) on the
+        integer numerators: O(deg^2) subtractions and no multiplication.  It
+        keeps the gcd of the numerators, so its result is canonical as it
+        stands.  Any other offset t is the unit shift conjugated by a
+        dilation: P(x - t) = S(x/t - 1) with S = P.dilate(t).
         """
         t = as_fraction(offset)
         n = self.degree
         if n < 1 or t == 0:  # P(x - 0) = P, and zero and constants ignore any shift
             return self
-        a, b = t.numerator, t.denominator
+        if t != 1:
+            return self.dilate(t).shift(1).dilate(1 / t)
         coeffs = list(self._numerators)
-        if b > 1:
-            coeffs = [m * b ** (n - i) for i, m in enumerate(coeffs)]
-        if a == 1:
-            for i in range(n):
-                carry = coeffs[n]
-                for j in range(n - 1, i - 1, -1):
-                    carry = coeffs[j] = coeffs[j] - carry
-        else:
-            for i in range(n):
-                carry = coeffs[n]
-                for j in range(n - 1, i - 1, -1):
-                    carry = coeffs[j] = coeffs[j] - a * carry
-        if b == 1:
-            return Polynomial._from_integers(tuple(coeffs), self._denominator)
-        return Polynomial._reduced([r * b**j for j, r in enumerate(coeffs)], self._denominator * b**n)
+        for i in range(n):
+            carry = coeffs[n]
+            for j in range(n - 1, i - 1, -1):
+                carry = coeffs[j] = coeffs[j] - carry
+        return Polynomial._from_integers(tuple(coeffs), self._denominator)
 
     def dilate(self, factor: Scalar) -> "Polynomial":
         """The polynomial Q with Q(x) = P(factor * x).

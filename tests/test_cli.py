@@ -1,6 +1,8 @@
 """CLI surface: text/JSON formats, exit codes, determinism, env overrides."""
 import json
 import math
+import sys
+import time
 
 import pytest
 
@@ -326,3 +328,26 @@ def test_budget_refusal_of_an_enumeration_beyond_the_str_limit_exits_3(capsys):
         f"BUDGET-EXCEEDED enumerating 3000^3000 = {decimal_digits(3000**3000)} assignments "
         "exceeds the budget of 10000000\n"
     )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.10.7")
+def test_expansion_renders_inner_sums_beyond_the_str_limit(capsys):
+    # 311! has 642 digits; 640 is the lowest limit CPython accepts.
+    digits = decimal_digits(math.factorial(311))
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "expansion", "--n", "311")
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert (code, err) == (0, "")
+    inner = ", ".join([digits] + ["0"] * 311)
+    assert out == f"PASS tepper n=311 x=0 route=expansion inner=[{inner}] computed={digits} claimed={digits}\n"
+
+
+def test_wilson_upto_limit_refusal(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "wilson", "--upto", "2000003")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "limit" in err

@@ -181,3 +181,28 @@ def test_routes_on_zero_constant_and_fractional_polynomials_at_every_step():
                 if order == p.degree:
                     expected = p.leading_coefficient * step**order * math.factorial(order)
                     assert symbolic == Polynomial.constant(expected)
+
+
+def reference_backward_difference(coeffs, step):
+    """P(x) - P(x - step) by binomial expansion of each (x - step)^i over Fraction."""
+    result = [Fraction(0)] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for j in range(i):  # the x^i terms of P(x) and P(x - step) cancel
+            result[j] -= c * math.comb(i, j) * Fraction(-step) ** (i - j)
+    while result and result[-1] == 0:
+        result.pop()
+    return tuple(result)
+
+
+def test_backward_difference_at_steps_two_to_six_equals_fraction_reference():
+    polys = (
+        Polynomial.zero(),
+        Polynomial.constant(Fraction(-7, 3)),
+        Polynomial((Fraction(5, 2), Fraction(-3, 7))),
+        Polynomial((Fraction(1, 2), Fraction(-5, 6), 0, Fraction(7, 4), Fraction(3, 5))),
+        Polynomial(tuple(Fraction((-1) ** i * (i + 3), i % 5 + 1) for i in range(21))),
+    )
+    for p in polys:
+        for step in range(2, 7):
+            q = backward_difference(p, step)
+            assert q.coefficients == reference_backward_difference(p.coefficients, step), (p, step)

@@ -319,3 +319,27 @@ def test_unit_shift_of_a_high_degree_power():
     p = Polynomial.monomial(40, Fraction(1, 3))
     expected = tuple(Fraction((-1) ** (40 - i) * math.comb(40, i), 3) for i in range(41))
     assert p.shift(1).coefficients == expected
+
+
+# Offsets other than 0 and 1 go through dilate(t).shift(1).dilate(1/t):
+# negative, large, fractional, and an offset far past the degree.
+CONJUGATED_OFFSETS = (-1, 2, -13, 10**30, Fraction(-10**20, 3), Fraction(1, 9), Fraction(-7, 3))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Polynomial.zero(),
+        Polynomial.constant(Fraction(-7, 3)),
+        Polynomial((Fraction(5, 2), Fraction(-3, 7))),
+        Polynomial((Fraction(1, 2), -3, 0, Fraction(7, 4), Fraction(-11, 6), Fraction(3, 5))),
+        Polynomial(tuple(Fraction((-1) ** i * (i * i + 1), i % 7 + 1) for i in range(41))),
+    ],
+    ids=["zero", "constant", "linear", "degree5", "degree40"],
+)
+def test_conjugated_shift_equals_fraction_reference(p):
+    for offset in CONJUGATED_OFFSETS + (5 * max(p.degree, 1),):
+        q = p.shift(offset)
+        assert q.coefficients == reference_shift(p.coefficients, offset), offset
+        assert_canonical_coefficients(q)
+        assert q == Polynomial(q.coefficients)
