@@ -353,8 +353,24 @@ def _emit(rows: Sequence[ReportRow], output_format: str, summary: str | None) ->
     return EXIT_OK if all(row.passed for row in rows) else EXIT_FAIL
 
 
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--x -3/1`` as ``--x=-3/1``, which argparse would read as two options.
+
+    Only ``--x`` (a negative point) and ``--poly`` (a leading minus) take a
+    value that may start with "-", and only a next token that starts with a
+    single "-" is attached, so ``--poly`` with nothing or another ``--flag``
+    after it still fails to parse.
+    """
+    args = list(argv)
+    # From the end, so that joining two tokens never moves one still to be read.
+    for i in range(len(args) - 1, 0, -1):
+        if args[i - 1] in ("--x", "--poly") and args[i].startswith("-") and not args[i].startswith("--"):
+            args[i - 1 : i + 1] = [f"{args[i - 1]}={args[i]}"]
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    options = build_parser().parse_args(argv)
+    options = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         rows = _HANDLERS[options.command](options)
         summary = None

@@ -8,7 +8,10 @@ exactly r wagons as C(n,r) times the inclusion-exclusion surjection count
 with the 0^0 = 1 convention so that degenerate parameters (p = 0 or r = 0)
 stay well defined.  ``brute_force_occupancy`` is the independent oracle: it
 enumerates all n^p assignments and counts image sizes directly, guarded by
-an enumeration budget.
+an enumeration budget.  It splits the passengers into a head of p // 2,
+whose n^(p//2) image masks it tabulates, and a tail it loops over, so each
+assignment's mask and comparison with r run in C at a memory cost of
+n^(p//2) masks.
 """
 from __future__ import annotations
 
@@ -71,6 +74,12 @@ def brute_force_occupancy(
 ) -> int:
     """The same count by exhaustive enumeration of all n^p assignments.
 
+    The first p // 2 passengers form a head table of n^(p//2) image masks,
+    one per head assignment; for each assignment of the other passengers
+    the tail's mask is OR-ed with every head mask and each result's bit
+    count compared with r.  Every assignment gets its own mask, nothing is
+    merged, and the extra memory is n^(p//2) masks (one entry when p = 1).
+
     Raises BudgetExceededError when n^p exceeds ``budget``; callers record
     the oracle as unavailable in that case.
     """
@@ -81,13 +90,15 @@ def brute_force_occupancy(
             # Decimal prints n^p in full where str(int) stops at 4300 digits.
             f"enumerating {n}^{p} = {Decimal(total)} assignments exceeds the budget of {budget}"
         )
+    heads = [0]
+    for _ in range(p // 2):
+        heads = [mask | 1 << wagon for mask in heads for wagon in range(n)]
     count = 0
-    for assignment in itertools.product(range(n), repeat=p):
+    for tail in itertools.product(range(n), repeat=p - p // 2):
         mask = 0
-        for wagon in assignment:
+        for wagon in tail:
             mask |= 1 << wagon
-        if mask.bit_count() == r:
-            count += 1
+        count += sum(map(r.__eq__, map(int.bit_count, map(mask.__or__, heads))))
     return count
 
 

@@ -351,3 +351,42 @@ def test_wilson_upto_limit_refusal(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "limit" in err
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize(
+    "separate, attached",
+    [
+        (["tepper", "--n", "3", "--x", "-3/1"], ["tepper", "--n", "3", "--x=-3/1"]),
+        (["general", "--poly", "-x^2"], ["general", "--poly=-x^2"]),
+        (
+            ["conjecture", "--poly", "-x^2 + 1/2", "--l", "2", "--x", "-7/3"],
+            ["conjecture", "--poly=-x^2 + 1/2", "--l", "2", "--x=-7/3"],
+        ),
+        (["lemma", "--poly", "-x", "--n", "2", "--x", "-5"], ["lemma", "--poly=-x", "--n", "2", "--x=-5"]),
+        (["expansion", "--n", "3", "--x", "-2"], ["expansion", "--n", "3", "--x=-2"]),
+    ],
+)
+def test_separate_value_starting_with_dash_parses_like_the_equals_form(
+    capsys, output_format, separate, attached
+):
+    flags = ["--format", output_format]
+    expected = run_cli(capsys, *attached, *flags)
+    assert expected[0] == 0
+    assert run_cli(capsys, *separate, *flags) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["general", "--poly"],
+        ["general", "--poly", "--format", "json"],
+        ["tepper", "--n", "-3"],
+        ["tepper", "--n", "3", "--x"],
+    ],
+)
+def test_missing_or_negative_values_still_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -1,5 +1,6 @@
 """Occupancy closed form vs. enumeration oracle, power sums, Stirling link."""
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -138,3 +139,34 @@ def test_bridge_to_alternating_sum():
                 Polynomial.monomial(p), DifferenceParams(order=n, step=1), n
             )
             assert value == surjection_count(n, p)
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_oracle_matches_in_test_enumeration_for_odd_and_even_p(p):
+    # n = 0 and p = 0 included; odd p puts the extra passenger in the tail.
+    for n in range(6):
+        for r in range(n + 1):
+            assert brute_force_occupancy(OccupancyParams(n, p, r)) == count_by_enumeration(n, p, r)
+
+
+def _oracle_peak_bytes(params):
+    tracemalloc.start()
+    try:
+        count = brute_force_occupancy(params)
+        return count, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_stays_at_the_head_table():
+    # A list of all 400^2 masks would take about 1.3 MB; the head table has 400.
+    count, peak = _oracle_peak_bytes(OccupancyParams(400, 2, 2))
+    assert count == 400 * 399
+    assert peak < 256 * 1024
+
+
+def test_oracle_with_one_passenger_builds_no_per_wagon_table():
+    # A table of 20000 single-wagon masks would take about 25 MB.
+    count, peak = _oracle_peak_bytes(OccupancyParams(20000, 1, 1))
+    assert count == 20000
+    assert peak < 2 * 1024 * 1024
