@@ -3,7 +3,8 @@
 
 Runs the symbolic sweeps, the dual-path cross-check, the occupancy oracle
 grid, and the modular-route agreement at configurable bounds, then prints
-one summary line per family.  Exits 1 if anything fails.
+one summary line per family on stdout and its wall time on stderr.  Exits 1
+if anything fails.
 
 Usage: python scripts/verification_campaign.py [--max-degree 12] [--max-step 8]
        [--trials 10] [--seed 0] [--prime-bound 200] [--occupancy-bound 6]
@@ -30,8 +31,10 @@ from tepperlab.numtheory import is_prime_trial
 
 
 def banner(label: str, passed: int, total: int, elapsed: float) -> bool:
+    # Timings go to stderr so that stdout is identical for identical configurations.
     ok = passed == total
-    print(f"{'PASS' if ok else 'FAIL'} {label}: {passed}/{total} in {elapsed:.2f}s")
+    print(f"{'PASS' if ok else 'FAIL'} {label}: {passed}/{total}")
+    print(f"{label}: {elapsed:.2f}s", file=sys.stderr)
     return ok
 
 

@@ -126,6 +126,8 @@ def _row_from_primality_check(check: ModularCheck) -> ReportRow:
 
 def _rational(text: str) -> Fraction:
     try:
+        if "e" in text.lower():  # an exponent would have Fraction build 10**exponent, however large
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational (use 'num/den' or an integer)")

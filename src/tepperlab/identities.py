@@ -98,7 +98,7 @@ def _step_sum_report(
         claimed = Polynomial.constant(claimed)
         return IdentityReport(name, f"{parameters} mode=symbolic x=ignored", claimed, s, s == claimed, witness=s)
     value = alternating_sum_numeric(p, params, x)
-    return IdentityReport(name, f"{parameters} x={x}", claimed, value, value == claimed)
+    return IdentityReport(name, f"{parameters} x={_render_rational(x)}", claimed, value, value == claimed)
 
 
 def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
@@ -165,7 +165,7 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     claimed = Fraction(factorial(n))
     inner_ok = inner[0] == factorial(n) and all(v == 0 for v in inner[1:])
     passed = inner_ok and total_at_x == claimed
-    parameters = f"n={n} x={xf} route=expansion inner=[{', '.join(map(_render_rational, inner))}]"
+    parameters = f"n={n} x={_render_rational(xf)} route=expansion inner=[{', '.join(map(_render_rational, inner))}]"
     return IdentityReport(TEPPER, parameters, claimed, total_at_x, passed, witness=witness)
 
 

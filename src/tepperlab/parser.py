@@ -1,18 +1,23 @@
 """Parse and render polynomial expressions in a single variable x.
 
-Grammar (whitespace insignificant, EBNF):
+Grammar (EBNF over tokens):
 
     expr  := ["-"] term (("+" | "-") term)*
     term  := coeff ["*" var | var] | var
     var   := "x" ["^" natural]
     coeff := natural ["/" positive-natural]
 
-Coefficients are exact rationals; decimal literals are rejected rather than
-converted.  Like terms are combined.  Exponents beyond the degree cap are
-rejected.  Every error carries the character offset at which it occurred;
-when input ends while a token is still required, the offset points at the
-character that created the obligation (the dangling '*', '/', '^', or sign),
-so a one-character edit there repairs the parse.
+The source is split into tokens once: a token is a run of ASCII digits (a
+``natural``) or any other single non-space character, and whitespace only
+separates tokens.  A non-ASCII digit is thus a token of its own and is
+rejected like any other stray character.  Coefficients are exact rationals;
+decimal literals are rejected rather than converted.  Like terms are
+combined.  Exponents beyond the degree cap are rejected.
+
+Every error carries the character offset of the current token.  When input
+ends while a token is still required, it points at the last token, which is
+the '-', '+', '*', '/' or '^' that asked for more, so a one-character edit
+there repairs the parse; with no tokens at all it points at the end.
 
 ``render_polynomial`` emits descending powers ("x^3 - 3*x^2 + 3*x - 1") and
 round-trips exactly: parse_polynomial(render_polynomial(p)) == p.  Both ends
@@ -21,13 +26,20 @@ CPython's limit on int/str conversion (4300 digits by default) does not cover.
 """
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
+from typing import NoReturn
 
 from .errors import InputError
 from .poly import Polynomial
 
 DEFAULT_DEGREE_CAP = 10**4
+
+# A searched alternation rather than a leading \s*: finditer would rescan
+# trailing whitespace from every position, quadratic in its length.
+_TOKEN = re.compile(r"([0-9]+)|(\S)")
+_DECIMAL = "decimal literals are not supported; write an exact num/den rational"
 
 
 class ParseError(InputError):
@@ -41,127 +53,83 @@ class ParseError(InputError):
 
 class _Parser:
     def __init__(self, source: str, degree_cap: int):
-        self.source = source
-        self.pos = 0
+        # (digits, symbol, offset): exactly one of digits and symbol is set.
+        # The end of input reads as the symbol "" at the last token's offset.
+        self.tokens = [(*m.groups(), m.start()) for m in _TOKEN.finditer(source)]
+        self.tokens.append((None, "", self.tokens[-1][2] if self.tokens else len(source)))
+        self.i = 0
         self.degree_cap = degree_cap
 
     def _peek(self) -> str | None:
-        if self.pos < len(self.source):
-            return self.source[self.pos]
-        return None
+        """The current symbol: "" at the end of input, None at a natural."""
+        return self.tokens[self.i][1]
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
+    def _fail(self, message: str) -> NoReturn:
+        raise ParseError(message, self.tokens[self.i][2])
 
-    def _fail(self, message: str, offset: int | None = None):
-        raise ParseError(message, self.pos if offset is None else offset)
-
-    def _expect_here(self, message: str, obligation: int):
-        # At end of input, blame the character that demanded more.
-        if self._peek() is None:
-            self._fail(message, obligation)
-        self._fail(message)
-
-    def _natural(self, what: str, obligation: int) -> tuple[int, int]:
-        ch = self._peek()
-        if ch is None or not ch.isdigit():
-            self._expect_here(f"expected {what}", obligation)
-        start = self.pos
-        while (c := self._peek()) is not None and c.isdigit():
-            self.pos += 1
-        return int(Decimal(self.source[start : self.pos])), start
+    def _natural(self, what: str) -> int:
+        """The natural at the current token, left current for the caller's checks."""
+        digits = self.tokens[self.i][0]
+        if digits is None:
+            self._fail(f"expected {what}")
+        return int(Decimal(digits))
 
     def _coefficient(self) -> Fraction:
-        numerator, _ = self._natural("digits", self.pos)
-        mark = self.pos
-        self._skip_ws()
-        if self._peek() == "/":
-            slash = self.pos
-            self.pos += 1
-            self._skip_ws()
-            denominator, den_offset = self._natural("a denominator after '/'", slash)
-            if denominator == 0:
-                self._fail("zero denominator", den_offset)
-            return Fraction(numerator, denominator)
-        self.pos = mark
-        return Fraction(numerator)
+        numerator = self._natural("digits")
+        self.i += 1
+        if self._peek() != "/":
+            return Fraction(numerator)
+        self.i += 1
+        denominator = self._natural("a denominator after '/'")
+        if denominator == 0:
+            self._fail("zero denominator")
+        self.i += 1
+        return Fraction(numerator, denominator)
 
     def _variable(self) -> int:
-        # Caller has verified the current character is 'x'.
-        self.pos += 1
-        mark = self.pos
-        self._skip_ws()
-        if self._peek() == "^":
-            caret = self.pos
-            self.pos += 1
-            self._skip_ws()
-            power, exp_offset = self._natural("an exponent after '^'", caret)
-            if power > self.degree_cap:
-                self._fail(f"exponent {power} exceeds the degree cap {self.degree_cap}", exp_offset)
-            return power
-        self.pos = mark
-        return 1
+        # Caller has verified the current token is 'x'.
+        self.i += 1
+        if self._peek() != "^":
+            return 1
+        self.i += 1
+        power = self._natural("an exponent after '^'")
+        if power > self.degree_cap:
+            self._fail(f"exponent {power} exceeds the degree cap {self.degree_cap}")
+        self.i += 1
+        return power
 
-    def _term(self, obligation: int) -> tuple[int, Fraction]:
+    def _term(self) -> tuple[int, Fraction]:
         """One term as (power, coefficient)."""
-        ch = self._peek()
-        if ch is None:
-            self._expect_here("expected a term", obligation)
-        if ch == "x":
+        symbol = self._peek()
+        if symbol == "x":
             return self._variable(), Fraction(1)
-        if not ch.isdigit():
-            if ch == ".":
-                self._fail("decimal literals are not supported; write an exact num/den rational")
-            self._fail("expected a coefficient or 'x'")
+        if symbol is not None:
+            self._fail({"": "expected a term", ".": _DECIMAL}.get(symbol, "expected a coefficient or 'x'"))
         coeff = self._coefficient()
-        mark = self.pos
-        self._skip_ws()
-        nxt = self._peek()
-        if nxt == "*":
-            star = self.pos
-            self.pos += 1
-            self._skip_ws()
+        if self._peek() == "*":
+            self.i += 1
             if self._peek() != "x":
-                self._expect_here("expected 'x' after '*'", star)
-            return self._variable(), coeff
-        if nxt == "x":
-            return self._variable(), coeff
-        if nxt == ".":
-            self._fail("decimal literals are not supported; write an exact num/den rational")
-        self.pos = mark
-        return 0, coeff
+                self._fail("expected 'x' after '*'")
+        elif self._peek() != "x":
+            return 0, coeff
+        return self._variable(), coeff
 
     def parse(self) -> Polynomial:
         accumulated: dict[int, Fraction] = {}
-        self._skip_ws()
         sign = 1
-        obligation = self.pos
         if self._peek() == "-":
-            obligation = self.pos
-            self.pos += 1
-            self._skip_ws()
+            self.i += 1
             sign = -1
-        power, coeff = self._term(obligation)
-        accumulated[power] = accumulated.get(power, Fraction(0)) + sign * coeff
         while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch is None:
-                break
-            if ch == "+":
-                sign = 1
-            elif ch == "-":
-                sign = -1
-            elif ch == ".":
-                self._fail("decimal literals are not supported; write an exact num/den rational")
-            else:
-                self._fail("expected '+' or '-' between terms")
-            separator = self.pos
-            self.pos += 1
-            self._skip_ws()
-            power, coeff = self._term(separator)
+            power, coeff = self._term()
             accumulated[power] = accumulated.get(power, Fraction(0)) + sign * coeff
+            symbol = self._peek()
+            if symbol == "":
+                break
+            if symbol not in ("+", "-"):
+                self._fail(_DECIMAL if symbol == "." else "expected '+' or '-' between terms")
+            sign = 1 if symbol == "+" else -1
+            self.i += 1
         top = max(accumulated)
         coeffs = tuple(accumulated.get(i, Fraction(0)) for i in range(top + 1))
         return Polynomial(coeffs)

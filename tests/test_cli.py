@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -246,6 +247,29 @@ def test_rational_argument_validation():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["tepper", "--n", "3", "--x", "1/0"])
     assert excinfo.value.code == 2
+
+
+def test_rational_argument_with_an_exponent_is_rejected_at_once(capsys):
+    # Fraction("1e999999999") would build 10^999999999 before any guard runs.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["tepper", "--n", "2", "--x", "1e999999999"])
+    assert time.perf_counter() - start < 1.0
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is not an exact rational" in err
+
+
+def test_plain_decimal_rational_argument_still_parses():
+    assert cli._rational("0.5") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_non_ascii_digit_in_poly_is_an_input_error(capsys, output_format):
+    code, out, err = run_cli(capsys, "general", "--poly", "x^\u00b2", "--format", output_format)
+    assert (code, out) == (2, "")
+    assert err.startswith("INPUT-ERROR")
 
 
 def decimal_digits(n):

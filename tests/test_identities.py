@@ -156,6 +156,16 @@ def test_expansion_n5_brute_force():
     assert report.computed == 120
 
 
+def test_numeric_checks_at_a_point_beyond_the_str_limit():
+    x_digits = "1" + "0" * 5000  # 10^5000 has 5,001 digits, past CPython's 4,300
+    report = verify_tepper(2, Fraction(10**5000), mode=NUMERIC)
+    assert report.passed
+    assert report.parameters == f"n=2 x={x_digits}"
+    report = verify_via_expansion(2, 10**5000)
+    assert report.passed
+    assert report.parameters == f"n=2 x={x_digits} route=expansion inner=[2, 0, 0]"
+
+
 @settings(max_examples=40, deadline=None)
 @given(nonzero_polynomials(max_degree=6), st.integers(1, 4), rationals())
 def test_modes_agree(p, step, x):

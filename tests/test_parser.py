@@ -1,5 +1,6 @@
 """Grammar, rendering round-trip, and actionable error offsets."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,7 +62,7 @@ def test_exponent_cap():
 
 
 def test_decimal_literals_rejected():
-    for source in ("0.5", "1.5*x", "x^2 + 2.5"):
+    for source in ("0.5", "1.5*x", "x^2 + 2.5", "x^2.5", "x.5"):
         with pytest.raises(ParseError) as excinfo:
             parse_polynomial(source)
         assert "decimal" in str(excinfo.value)
@@ -81,11 +82,28 @@ def test_error_offsets_point_at_problem():
         "2*": 1,        # dangling star
         "x 2": 2,       # missing separator before '2'
         "x + + 1": 4,   # second sign is not a term
+        "   ": 3,       # no tokens at all: the end of input
+        "\t1 2": 3,     # a tab separates tokens like a space
+        "x^ \t": 1,     # trailing whitespace still blames the caret
     }
     for source, offset in cases.items():
         with pytest.raises(ParseError) as excinfo:
             parse_polynomial(source)
         assert excinfo.value.offset == offset, source
+
+
+@pytest.mark.parametrize("source", ["x^\u00b2", "\u00b2", "\u0663*x", "1\u0663"])
+def test_non_ascii_digits_rejected(source):
+    # A natural is a run of ASCII digits; '\u00b2' (superscript two) and '\u0663'
+    # (Arabic-Indic three) are stray characters, not numbers.
+    with pytest.raises(ParseError):
+        parse_polynomial(source)
+
+
+def test_trailing_whitespace_scans_in_linear_time():
+    start = time.perf_counter()
+    assert parse_polynomial("x" + " " * 20000) == Polynomial.monomial(1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_determinism():

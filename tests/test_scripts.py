@@ -1,6 +1,7 @@
 """Smoke tests: the demo, campaign and benchmark scripts run to completion and pass."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,17 @@ def test_verification_campaign_small():
     lines = result.stdout.splitlines()
     assert len(lines) == 4
     assert all(line.startswith("PASS") for line in lines), result.stdout
+
+
+def test_verification_campaign_stdout_is_deterministic():
+    # Block timings go to stderr; stdout must be identical for one configuration.
+    small = ("--max-degree", "4", "--max-step", "3", "--trials", "2", "--prime-bound", "50", "--occupancy-bound", "4")
+    runs = [run_script("scripts/verification_campaign.py", *small) for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 4
+    assert all(re.fullmatch(r"PASS [a-z -]+: (\d+)/\1", line) for line in lines), runs[0].stdout
 
 
 @pytest.mark.parametrize("workload", ["symbolic_highdeg", "cli_mix"])
