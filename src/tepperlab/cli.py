@@ -17,15 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
 from . import identities, numtheory, occupancy
 from .errors import BudgetExceededError, InputError
 from .identities import IDENTITY_NAMES, IdentityReport
-from .numtheory import ModularCheck
 from .parser import _render_rational, parse_polynomial, render_polynomial
 from .poly import Polynomial
 
@@ -101,36 +102,16 @@ def _row_from_identity(report: IdentityReport) -> ReportRow:
     )
 
 
-def _row_from_modular_check(check: ModularCheck, parameters: str) -> ReportRow:
-    return ReportRow(
-        name="wilson",
-        parameters=parameters,
-        claimed=str(check.expected_residue),
-        computed=str(check.computed_residue),
-        passed=check.passed,
-    )
-
-
-def _row_from_primality_check(check: ModularCheck) -> ReportRow:
-    """Wilson's verdict on n = check.modulus against trial division."""
-    n = check.modulus
-    trial_says_prime = numtheory.is_prime_trial(n)
-    return ReportRow(
-        name="wilson",
-        parameters=f"n={n} route={check.route} residue={check.computed_residue}",
-        claimed="prime" if trial_says_prime else "composite",
-        computed="prime" if check.passed else "composite",
-        passed=check.passed == trial_says_prime,
-    )
-
-
 def _rational(text: str) -> Fraction:
-    try:
-        if "e" in text.lower():  # an exponent would have Fraction build 10**exponent, however large
-            raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    # Decimal reads digits past CPython's int/str limit, but converts them to int
+    # in quadratic time, about a minute at 10^6 digits, so the text is capped at 2^17 characters.
+    if len(text) > 2**17:
+        raise argparse.ArgumentTypeError(f"an exact rational takes at most {2**17} characters, not {len(text)}")
+    # A sign and ASCII digits, then a nonzero /denominator or a decimal point: no exponent, nan or inf.
+    if not re.fullmatch(r"[-+]?([0-9]+(/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)", text):
         raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational (use 'num/den' or an integer)")
+    numerator, _, denominator = text.partition("/")
+    return Fraction(Decimal(numerator)) / int(Decimal(denominator or 1))
 
 
 def _nonnegative(text: str) -> int:
@@ -217,44 +198,41 @@ def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
     budget = options.budget if options.budget is not None else _default_budget()
     result = occupancy.check_occupancy(params, with_oracle=options.oracle, budget=budget)
     parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
-    passed = result.agrees is not False
-    closed_text = _render_rational(result.closed_form)
-    oracle_text = _render_rational(result.oracle) if result.oracle is not None else "skipped"
-    verdict = "agrees" if result.agrees else ("disagrees" if result.agrees is False else "unchecked")
-    text = (
-        f"{'PASS' if passed else 'FAIL'} occupancy {parameters} "
-        f"closed_form={closed_text} oracle={oracle_text} {verdict}"
+    computed = result.closed_form if result.oracle is None else result.oracle
+    row = _row_from_identity(
+        IdentityReport("occupancy", parameters, result.closed_form, computed, result.agrees is not False)
     )
-    return [
-        ReportRow(
-            name="occupancy",
-            parameters=parameters,
-            claimed=closed_text,
-            computed=oracle_text if result.oracle is not None else closed_text,
-            passed=passed,
-            text=text,
-        )
-    ]
+    oracle = "skipped" if result.oracle is None else row.computed
+    verdict = {True: "agrees", False: "disagrees", None: "unchecked"}[result.agrees]
+    status = "PASS" if row.passed else "FAIL"
+    return [replace(row, text=f"{status} occupancy {parameters} closed_form={row.claimed} oracle={oracle} {verdict}")]
 
 
 def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
-    if (options.p is None) == (options.upto is None):
+    p, upto, limit = options.p, options.upto, numtheory.DEFAULT_WILSON_LIMIT
+    if (p is None) == (upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
-    if options.upto is not None:
-        if options.upto > options.limit:
-            raise InputError(f"N = {options.upto} exceeds the input limit {options.limit}")
-        checks = map(numtheory.factorial_mod_naive_check, range(2, options.upto + 1))
-        return [_row_from_primality_check(check) for check in checks]
-    p = options.p
-    if p > options.limit:
-        raise InputError(f"p = {p} exceeds the input limit {options.limit}")
-    route_functions = {
-        "naive": numtheory.factorial_mod_naive_check,
-        "tepper": numtheory.factorial_mod_tepper,
-        "fermat": numtheory.factorial_mod_fermat_route,
-    }
-    check = route_functions[options.route](p)
-    return [_row_from_modular_check(check, f"p={p} route={check.route}")]
+    # The limit counts loop steps: p for one modulus, N(N-1)/2 for (n-1)! at every n <= N.
+    steps = p if upto is None else upto * (upto - 1) // 2
+    if steps > limit:
+        selector = f"p = {p}" if upto is None else f"N = {upto} ({steps} loop steps)"
+        raise InputError(f"{selector} exceeds the input limit {limit}")
+    if upto is None:
+        route = {
+            "naive": numtheory.factorial_mod_naive_check,
+            "tepper": numtheory.factorial_mod_tepper,
+            "fermat": numtheory.factorial_mod_fermat_route,
+        }[options.route]
+        check = route(p)
+        residues = check.expected_residue, check.computed_residue
+        return [_row_from_identity(IdentityReport("wilson", f"p={p} route={check.route}", *residues, check.passed))]
+    rows = []
+    for n in range(2, upto + 1):
+        check, trial_says_prime = numtheory.factorial_mod_naive_check(n), numtheory.is_prime_trial(n)
+        verdicts = ("prime" if trial_says_prime else "composite", "prime" if check.passed else "composite")
+        parameters = f"n={n} route={check.route} residue={check.computed_residue}"
+        rows.append(_row_from_identity(IdentityReport("wilson", parameters, *verdicts, check.passed == trial_says_prime)))
+    return rows
 
 
 _HANDLERS = {
@@ -339,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_wilson.add_argument("--p", type=_positive, default=None, help="single modulus to check")
     p_wilson.add_argument("--upto", type=_positive, default=None, help="compare against trial division for 2..N")
     p_wilson.add_argument("--route", choices=("naive", "tepper", "fermat"), default="naive")
-    p_wilson.add_argument("--limit", type=_positive, default=numtheory.DEFAULT_WILSON_LIMIT)
 
     return parser
 

@@ -80,8 +80,9 @@ def brute_force_occupancy(
     count compared with r.  Every assignment gets its own mask, nothing is
     merged, and the extra memory is n^(p//2) masks (one entry when p = 1).
 
-    Raises BudgetExceededError when n^p exceeds ``budget``; callers record
-    the oracle as unavailable in that case.
+    Raises BudgetExceededError when n^p, or n^p * ceil(n/4096) for masks
+    wider than 4096 bits, exceeds ``budget``; callers record the oracle as
+    unavailable in that case.
     """
     n, p, r = params.wagons, params.passengers, params.occupied
     total = n**p
@@ -89,6 +90,16 @@ def brute_force_occupancy(
         raise BudgetExceededError(
             # Decimal prints n^p in full where str(int) stops at 4300 digits.
             f"enumerating {n}^{p} = {Decimal(total)} assignments exceeds the budget of {budget}"
+        )
+    # An assignment costs about as much as OR-ing and counting 30 words of its
+    # mask, so up to 64 words (4096 wagons) the assignment is the unit, and
+    # beyond that each 4096 wagons count once.  With no passengers the one
+    # mask is 0.
+    units = total * ((n + 4095) // 4096) if p else total
+    if units > budget:
+        raise BudgetExceededError(
+            f"enumerating {n}^{p} = {Decimal(total)} assignments of {n}-bit masks counts "
+            f"{Decimal(units)}, one per assignment per 4096 bits, which exceeds the budget of {budget}"
         )
     heads = [0]
     for _ in range(p // 2):

@@ -157,6 +157,9 @@ def test_text_and_json_agree_on_pass_fail(capsys):
         ("general", "--poly", "5*x^2 - x + 9"),
         ("powersum", "--n", "4", "--p", "4"),
         ("wilson", "--p", "9", "--route", "naive"),
+        ("wilson", "--p", "9", "--route", "tepper"),
+        ("wilson", "--upto", "5"),
+        ("occupancy", "--wagons", "4", "--passengers", "5", "--occupied", "3", "--oracle"),
         ("sweep", "--max-degree", "2", "--max-step", "2", "--trials", "2", "--seed", "3"),
     ]
     for argv in configs:
@@ -263,6 +266,9 @@ def test_rational_argument_with_an_exponent_is_rejected_at_once(capsys):
 
 def test_plain_decimal_rational_argument_still_parses():
     assert cli._rational("0.5") == Fraction(1, 2)
+    assert cli._rational(".5") == cli._rational("+0.50") == Fraction(1, 2)
+    assert cli._rational("-5.") == Fraction(-5)
+    assert cli._rational("-6/04") == Fraction(-3, 2)
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
@@ -414,3 +420,130 @@ def test_missing_or_negative_values_still_exit_2(capsys, argv):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("x", ["1" + "0" * 5000, "1/1" + "0" * 5000], ids=["integer", "fraction"])
+def test_rational_argument_takes_digits_beyond_the_str_limit(capsys, x):
+    code, out, err = run_cli(capsys, "tepper", "--n", "2", "--x", x)
+    assert (code, err) == (0, "")
+    assert out == f"PASS tepper n=2 x={x} computed=2 claimed=2\n"
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        "nan", "inf", "Infinity", "-Infinity", "1e5", "1" + "0" * 5000 + "e1", "1" * 5000 + "/0",
+        " 1", " 1" + "0" * 5000, "1_000", "\u0663", "1.5/2", "-1/-2", ".", "",
+    ],
+    ids=[
+        "nan", "inf", "Infinity", "-Infinity", "1e5", "long-exponent", "long-zero-denominator",
+        "leading-space", "long-leading-space", "underscore", "non-ascii-digit", "decimal-numerator",
+        "negative-denominator", "point-alone", "empty",
+    ],
+)
+def test_rational_argument_rejects_nan_infinity_exponents_and_zero_denominators(capsys, x):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["tepper", "--n", "2", "--x", x])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is not an exact rational" in err
+
+
+def test_rational_argument_is_capped_at_2_to_the_17_characters(capsys):
+    # Decimal-to-int conversion is quadratic: 10^6 digits would take about a minute.
+    assert cli._rational("0" * 2**17) == 0
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["tepper", "--n", "2", "--x", "1" * 10**6])
+    assert time.perf_counter() - start < 1.0
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument --x: an exact rational takes at most 131072 characters, not 1000000\n")
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_oracle_budget_counts_mask_width_beyond_4096_wagons(capsys, output_format):
+    argv = ("occupancy", "--wagons", "1000000", "--passengers", "1", "--occupied", "1", "--oracle")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--format", output_format)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "BUDGET-EXCEEDED enumerating 1000000^1 = 1000000 assignments of 1000000-bit masks counts "
+        "245000000, one per assignment per 4096 bits, which exceeds the budget of 10000000\n"
+    )
+    # 20000 * ceil(20000/4096) = 100000 fits the default budget.
+    code, out, err = run_cli(capsys, "occupancy", "--wagons", "20000", "--passengers", "1", "--occupied", "1", "--oracle")
+    assert (code, err) == (0, "")
+    assert out.endswith("closed_form=20000 oracle=20000 agrees\n")
+
+
+def test_wilson_upto_limit_counts_loop_steps(capsys):
+    # N(N-1)/2 loop steps: 1414 -> 998,991 fits the limit of 10^6, 2000 -> 1,999,000 does not.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "wilson", "--upto", "2000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "INPUT-ERROR N = 2000 (1999000 loop steps) exceeds the input limit 1000000\n"
+    code, out, err = run_cli(capsys, "wilson", "--upto", "1414")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1413
+
+
+def test_wilson_upto_rows_text_and_json(capsys):
+    code, out, err = run_cli(capsys, "wilson", "--upto", "5")
+    assert (code, err) == (0, "")
+    assert out == (
+        "PASS wilson n=2 route=naive_factorial residue=1 computed=prime claimed=prime\n"
+        "PASS wilson n=3 route=naive_factorial residue=2 computed=prime claimed=prime\n"
+        "PASS wilson n=4 route=naive_factorial residue=2 computed=composite claimed=composite\n"
+        "PASS wilson n=5 route=naive_factorial residue=4 computed=prime claimed=prime\n"
+    )
+    code, out, err = run_cli(capsys, "wilson", "--upto", "5", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == "".join(
+        '{"schema_version":1,"command":"wilson","parameters":"n=%d route=naive_factorial residue=%d",'
+        '"claimed":"%s","computed":"%s","passed":true}\n' % (n, residue, verdict, verdict)
+        for n, residue, verdict in ((2, 1, "prime"), (3, 2, "prime"), (4, 2, "composite"), (5, 4, "prime"))
+    )
+
+
+def test_wilson_tepper_route_on_a_composite_fails_with_both_residues(capsys):
+    code, out, err = run_cli(capsys, "wilson", "--p", "9", "--route", "tepper")
+    assert (code, out, err) == (1, "FAIL wilson p=9 route=tepper_sum computed=0 claimed=8\n", "")
+    code, out, err = run_cli(capsys, "wilson", "--p", "9", "--route", "tepper", "--format", "json")
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"schema_version":1,"command":"wilson","parameters":"p=9 route=tepper_sum",'
+        '"claimed":"8","computed":"0","passed":false}\n'
+    )
+
+
+def test_occupancy_json_row(capsys):
+    for oracle in ((), ("--oracle",)):
+        code, out, err = run_cli(
+            capsys, "occupancy", "--wagons", "4", "--passengers", "5", "--occupied", "3", *oracle, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"schema_version":1,"command":"occupancy","parameters":"wagons=4 passengers=5 occupied=3",'
+            '"claimed":"600","computed":"600","passed":true}\n'
+        )
+
+
+@pytest.mark.parametrize("oracle", [7, 0])
+def test_occupancy_disagreement_fails_and_shows_the_oracle(capsys, monkeypatch, oracle):
+    # An oracle count of 0 is still the computed value, not a missing one.
+    monkeypatch.setattr(cli.occupancy, "brute_force_occupancy", lambda params, budget: oracle)
+    argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--oracle")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == f"FAIL occupancy wagons=3 passengers=2 occupied=2 closed_form=6 oracle={oracle} disagrees\n"
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    assert out == (
+        '{"schema_version":1,"command":"occupancy","parameters":"wagons=3 passengers=2 occupied=2",'
+        f'"claimed":"6","computed":"{oracle}","passed":false}}\n'
+    )

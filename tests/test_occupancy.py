@@ -170,3 +170,28 @@ def test_oracle_with_one_passenger_builds_no_per_wagon_table():
     count, peak = _oracle_peak_bytes(OccupancyParams(20000, 1, 1))
     assert count == 20000
     assert peak < 2 * 1024 * 1024
+
+
+def test_budget_counts_each_4096_bits_of_a_mask_beyond_4096_wagons():
+    # n^p = 10^6 assignments fit a budget of 10^7, but each mask is 10^6 bits:
+    # 10^6 * ceil(10^6/4096) = 2.45e8.
+    with pytest.raises(
+        BudgetExceededError, match="1000000-bit masks counts 245000000, one per assignment per 4096 bits"
+    ):
+        brute_force_occupancy(OccupancyParams(10**6, 1, 1), budget=10**7)
+    # Up to 4096 wagons n^p alone decides: 4096^1 fits a budget of 4096, 4097^1 counts 2 * 4097.
+    assert brute_force_occupancy(OccupancyParams(4096, 1, 1), budget=4096) == 4096
+    with pytest.raises(BudgetExceededError, match="counts 8194,"):
+        brute_force_occupancy(OccupancyParams(4097, 1, 1), budget=8193)
+    # 215^3 (4-word masks, about 2 s) still fits the default budget, as before the width counted.
+    assert brute_force_occupancy(OccupancyParams(215, 3, 1)) == 215
+    # 20000 * ceil(20000/4096) = 100000 fits the default budget.
+    assert brute_force_occupancy(OccupancyParams(20000, 1, 1)) == 20000
+    # With no passengers the one assignment sets no bit, whatever the width.
+    assert brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=1) == 1
+
+
+def test_budget_names_the_assignment_count_when_it_alone_exceeds():
+    with pytest.raises(BudgetExceededError) as excinfo:
+        brute_force_occupancy(OccupancyParams(100, 4, 3), budget=10**7)
+    assert str(excinfo.value) == "enumerating 100^4 = 100000000 assignments exceeds the budget of 10000000"
