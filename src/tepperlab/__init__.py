@@ -48,10 +48,8 @@ from .numtheory import (
 )
 from .occupancy import (
     OccupancyParams,
-    OccupancyResult,
     alternating_power_sum,
     brute_force_occupancy,
-    check_occupancy,
     exact_occupancy_count,
     stirling2,
     surjection_count,
@@ -68,7 +66,6 @@ __all__ = [
     "InputError",
     "ModularCheck",
     "OccupancyParams",
-    "OccupancyResult",
     "ParseError",
     "Polynomial",
     "alternating_binomials",
@@ -78,7 +75,6 @@ __all__ = [
     "backward_difference",
     "binomial",
     "brute_force_occupancy",
-    "check_occupancy",
     "classify_power_sum",
     "exact_occupancy_count",
     "factorial",

@@ -55,16 +55,11 @@ class ReportRow:
     computed: str | None
     passed: bool
     witness: str | None = None
-    text: str | None = None  # custom text line, else the standard layout
+    values: str | None = None  # the text line's custom tail, else "computed=... claimed=..."
 
     def text_line(self) -> str:
-        if self.text is not None:
-            return self.text
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name} {self.parameters} "
-            f"computed={self.computed} claimed={self.claimed}"
-        )
+        values = self.values if self.values is not None else f"computed={self.computed} claimed={self.claimed}"
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name} {self.parameters} {values}"
 
     def json_object(self) -> dict:
         obj = {
@@ -81,8 +76,8 @@ class ReportRow:
 
 
 def _render_value(value) -> str | None:
-    if value is None:
-        return None
+    if value is None or isinstance(value, str):
+        return value
     if isinstance(value, Polynomial):
         return render_polynomial(value)
     return _render_rational(value)
@@ -109,7 +104,8 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"an exact rational takes at most {2**17} characters, not {len(text)}")
     # A sign and ASCII digits, then a nonzero /denominator or a decimal point: no exponent, nan or inf.
     if not re.fullmatch(r"[-+]?([0-9]+(/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)", text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an exact rational (use 'num/den' or an integer)")
+        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"{shown} is not an exact rational (use 'num/den' or an integer)")
     numerator, _, denominator = text.partition("/")
     return Fraction(Decimal(numerator)) / int(Decimal(denominator or 1))
 
@@ -196,43 +192,18 @@ def _cmd_powersum(options: argparse.Namespace) -> list[ReportRow]:
 def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
     params = occupancy.OccupancyParams(options.wagons, options.passengers, options.occupied)
     budget = options.budget if options.budget is not None else _default_budget()
-    result = occupancy.check_occupancy(params, with_oracle=options.oracle, budget=budget)
-    parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
-    computed = result.closed_form if result.oracle is None else result.oracle
-    row = _row_from_identity(
-        IdentityReport("occupancy", parameters, result.closed_form, computed, result.agrees is not False)
-    )
-    oracle = "skipped" if result.oracle is None else row.computed
-    verdict = {True: "agrees", False: "disagrees", None: "unchecked"}[result.agrees]
-    status = "PASS" if row.passed else "FAIL"
-    return [replace(row, text=f"{status} occupancy {parameters} closed_form={row.claimed} oracle={oracle} {verdict}")]
+    row = _row_from_identity(identities.verify_occupancy(params, options.oracle, budget))
+    oracle = row.computed if options.oracle else "skipped"
+    verdict = ("agrees" if row.passed else "disagrees") if options.oracle else "unchecked"
+    return [replace(row, values=f"closed_form={row.claimed} oracle={oracle} {verdict}")]
 
 
 def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
-    p, upto, limit = options.p, options.upto, numtheory.DEFAULT_WILSON_LIMIT
-    if (p is None) == (upto is None):
+    if (options.p is None) == (options.upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
-    # The limit counts loop steps: p for one modulus, N(N-1)/2 for (n-1)! at every n <= N.
-    steps = p if upto is None else upto * (upto - 1) // 2
-    if steps > limit:
-        selector = f"p = {p}" if upto is None else f"N = {upto} ({steps} loop steps)"
-        raise InputError(f"{selector} exceeds the input limit {limit}")
-    if upto is None:
-        route = {
-            "naive": numtheory.factorial_mod_naive_check,
-            "tepper": numtheory.factorial_mod_tepper,
-            "fermat": numtheory.factorial_mod_fermat_route,
-        }[options.route]
-        check = route(p)
-        residues = check.expected_residue, check.computed_residue
-        return [_row_from_identity(IdentityReport("wilson", f"p={p} route={check.route}", *residues, check.passed))]
-    rows = []
-    for n in range(2, upto + 1):
-        check, trial_says_prime = numtheory.factorial_mod_naive_check(n), numtheory.is_prime_trial(n)
-        verdicts = ("prime" if trial_says_prime else "composite", "prime" if check.passed else "composite")
-        parameters = f"n={n} route={check.route} residue={check.computed_residue}"
-        rows.append(_row_from_identity(IdentityReport("wilson", parameters, *verdicts, check.passed == trial_says_prime)))
-    return rows
+    if options.upto is None:
+        return [_row_from_identity(identities.verify_wilson(options.p, options.route))]
+    return [_row_from_identity(r) for r in identities.verify_wilson_upto(options.upto)]
 
 
 _HANDLERS = {
@@ -316,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wilson = sub.add_parser("wilson", parents=[common], help="factorial congruence checks and primality")
     p_wilson.add_argument("--p", type=_positive, default=None, help="single modulus to check")
     p_wilson.add_argument("--upto", type=_positive, default=None, help="compare against trial division for 2..N")
-    p_wilson.add_argument("--route", choices=("naive", "tepper", "fermat"), default="naive")
+    p_wilson.add_argument("--route", choices=numtheory.WILSON_ROUTES, default="naive")
 
     return parser
 

@@ -11,7 +11,8 @@ sum pointwise instead and exists to exercise the evaluation path.
 
 Precondition violations (wrong degree, zero polynomial, step < 1) come back
 as reports with ``error`` set, distinct from a failed identity, so sweeps
-cannot confuse misuse with a falsified theorem.
+cannot confuse misuse with a falsified theorem.  The occupancy and Wilson
+builders raise InputError instead, like the routes they call.
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
+from . import numtheory, occupancy
 from .diffcalc import DifferenceParams, alternating_sum_numeric, alternating_sum_symbolic
 from .errors import InputError
 from .exact import alternating_binomials, factorial
-from .occupancy import alternating_power_sum
 from .parser import _render_rational, render_polynomial
 from .poly import Polynomial, Scalar, as_fraction
 
@@ -46,7 +47,7 @@ IDENTITY_NAMES = (
     POWER_SUM_FACTORIAL,
 )
 
-Value = Union[Fraction, Polynomial, str, None]
+Value = Union[int, Fraction, Polynomial, str, None]
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def classify_power_sum(n: int, p: int) -> IdentityReport:
     """
     parameters = f"n={n} p={p}"
     try:
-        value = alternating_power_sum(n, p)
+        value = occupancy.alternating_power_sum(n, p)
     except InputError as exc:
         return _input_error("powersum", parameters, str(exc))
     computed = Fraction(value)
@@ -188,6 +189,47 @@ def classify_power_sum(n: int, p: int) -> IdentityReport:
         claimed = Fraction((-1) ** (p - 1) * factorial(p))
         return IdentityReport(POWER_SUM_FACTORIAL, parameters, claimed, computed, computed == claimed)
     return IdentityReport("powersum", parameters + " classification=none (p > n)", None, computed, True)
+
+
+def verify_occupancy(
+    params: occupancy.OccupancyParams, with_oracle: bool = False, budget: int = occupancy.DEFAULT_ENUMERATION_BUDGET
+) -> IdentityReport:
+    """The closed-form occupancy count against the enumeration oracle, or against itself without it.
+
+    The oracle raises BudgetExceededError when the enumeration would exceed ``budget``.
+    """
+    closed = occupancy.exact_occupancy_count(params)
+    computed = occupancy.brute_force_occupancy(params, budget=budget) if with_oracle else closed
+    parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
+    return IdentityReport("occupancy", parameters, closed, computed, computed == closed)
+
+
+def verify_wilson(p: int, route: str = "naive") -> IdentityReport:
+    """(p-1)! mod p by the named route against the Wilson residue p - 1.
+
+    The naive route costs p loop steps.  The tepper and fermat routes sum p
+    exact binomials of up to p bits, priced at p^2 steps: up to p = 1000.
+    """
+    compute = numtheory.wilson_route(route)
+    steps = p if route == "naive" else p * p
+    selector = f"p = {p}" if route == "naive" else f"p = {p} ({steps} loop steps on the {route} route)"
+    numtheory.check_loop_steps(steps, selector)
+    check = compute(p)
+    residues = check.expected_residue, check.computed_residue
+    return IdentityReport("wilson", f"p={p} route={check.route}", *residues, check.passed)
+
+
+def verify_wilson_upto(upto: int) -> list[IdentityReport]:
+    """Wilson's "prime"/"composite" verdict against trial division's for n = 2..upto, at upto(upto-1)/2 loop steps."""
+    steps = upto * (upto - 1) // 2
+    numtheory.check_loop_steps(steps, f"N = {upto} ({steps} loop steps)")
+    reports = []
+    for n in range(2, upto + 1):
+        check, trial_says_prime = numtheory.factorial_mod_naive_check(n), numtheory.is_prime_trial(n)
+        verdicts = ("prime" if trial_says_prime else "composite", "prime" if check.passed else "composite")
+        parameters = f"n={n} route={check.route} residue={check.computed_residue}"
+        reports.append(IdentityReport("wilson", parameters, *verdicts, check.passed == trial_says_prime))
+    return reports
 
 
 def random_polynomial(rng: random.Random, degree: int) -> Polynomial:

@@ -15,6 +15,7 @@ The three routes to (p-1)! mod p:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InputError
 from .exact import alternating_binomials
@@ -23,8 +24,9 @@ ROUTE_NAIVE = "naive_factorial"
 ROUTE_TEPPER = "tepper_sum"
 ROUTE_FERMAT = "fermat_reduced_sum"
 
-# wilson_primality runs a Theta(n) multiplication loop; refuse rather than hang.
+# The Wilson computations run loops of known length; refuse rather than hang.
 DEFAULT_WILSON_LIMIT = 10**6
+WILSON_ROUTES = ("naive", "tepper", "fermat")
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,23 @@ def fermat_check(k: int, p: int) -> bool:
     return mod_pow(k, p - 1, p) == 1
 
 
+def wilson_route(name: str) -> Callable[[int], ModularCheck]:
+    """The route named in WILSON_ROUTES, looked up at call time so that patches reach it."""
+    routes = dict(zip(WILSON_ROUTES, (factorial_mod_naive_check, factorial_mod_tepper, factorial_mod_fermat_route)))
+    if name not in routes:
+        raise InputError(f"route must be one of {', '.join(WILSON_ROUTES)}, not {name!r}")
+    return routes[name]
+
+
+def check_loop_steps(steps: int, selector: str, limit: int = DEFAULT_WILSON_LIMIT) -> None:
+    """Refuse a computation of ``steps`` loop steps beyond ``limit``, naming it by ``selector``."""
+    if steps > limit:
+        raise InputError(f"{selector} exceeds the input limit {limit}")
+
+
 def wilson_primality(n: int, limit: int = DEFAULT_WILSON_LIMIT) -> bool:
-    """True iff (n-1)! = -1 (mod n), i.e. iff n is prime."""
+    """True iff (n-1)! = -1 (mod n), i.e. iff n is prime; n loop steps."""
     if n < 2:
         raise InputError("wilson_primality requires n >= 2")
-    if n > limit:
-        raise InputError(f"n = {n} exceeds the input limit {limit}; refusing the Theta(n) loop")
+    check_loop_steps(n, f"n = {n}", limit)
     return factorial_mod_naive(n - 1, n) == n - 1

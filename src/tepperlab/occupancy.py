@@ -42,19 +42,6 @@ class OccupancyParams:
             )
 
 
-@dataclass(frozen=True)
-class OccupancyResult:
-    """Closed-form count next to the enumeration oracle, when it ran."""
-
-    closed_form: int
-    oracle: int | None
-
-    @property
-    def agrees(self) -> bool | None:
-        """None when the oracle did not run, else whether it matches the closed form."""
-        return None if self.oracle is None else self.closed_form == self.oracle
-
-
 def surjection_count(onto: int, domain: int) -> int:
     """Number of surjections from a ``domain``-set onto an ``onto``-set."""
     if onto < 0 or domain < 0:
@@ -111,17 +98,6 @@ def brute_force_occupancy(
             mask |= 1 << wagon
         count += sum(map(r.__eq__, map(int.bit_count, map(mask.__or__, heads))))
     return count
-
-
-def check_occupancy(
-    params: OccupancyParams,
-    with_oracle: bool = False,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> OccupancyResult:
-    """Closed form, optionally cross-checked against the enumeration oracle."""
-    closed = exact_occupancy_count(params)
-    oracle = brute_force_occupancy(params, budget=budget) if with_oracle else None
-    return OccupancyResult(closed_form=closed, oracle=oracle)
 
 
 def alternating_power_sum(n: int, p: int) -> int:

@@ -94,7 +94,9 @@ class _Parser:
         self.i += 1
         power = self._natural("an exponent after '^'")
         if power > self.degree_cap:
-            self._fail(f"exponent {power} exceeds the degree cap {self.degree_cap}")
+            digits = _render_rational(power)
+            shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+            self._fail(f"exponent {shown} exceeds the degree cap {self.degree_cap}")
         self.i += 1
         return power
 
@@ -141,12 +143,9 @@ def parse_polynomial(source: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polyn
 
 
 def _render_rational(value: int | Fraction) -> str:
-    """str(value) for an int or Fraction of any size: "num/den", or "num" when den = 1."""
-    try:
-        return str(value)
-    except ValueError:  # past CPython's int/str digit limit, which Decimal does not have
-        numerator = str(Decimal(value.numerator))
-        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
+    """An int or Fraction of any size as "num/den", or "num" when den = 1, through Decimal."""
+    numerator = str(Decimal(value.numerator))
+    return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
 
 
 def _term_body(magnitude: Fraction, power: int) -> str:

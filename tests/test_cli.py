@@ -547,3 +547,38 @@ def test_occupancy_disagreement_fails_and_shows_the_oracle(capsys, monkeypatch, 
         '{"schema_version":1,"command":"occupancy","parameters":"wagons=3 passengers=2 occupied=2",'
         f'"claimed":"6","computed":"{oracle}","passed":false}}\n'
     )
+
+
+@pytest.mark.parametrize("route", ["tepper", "fermat"])
+def test_wilson_sum_routes_are_priced_at_p_squared_steps(capsys, route):
+    # Both routes sum p exact binomials of up to p bits: 1009^2 > 10^6 >= 997^2.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "wilson", "--p", "1009", "--route", route)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"INPUT-ERROR p = 1009 (1018081 loop steps on the {route} route) exceeds the input limit 1000000\n"
+    code, out, err = run_cli(capsys, "wilson", "--p", "997", "--route", route)
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS wilson p=997 ")
+
+
+def test_wilson_naive_route_is_priced_at_p_steps(capsys):
+    code, out, err = run_cli(capsys, "wilson", "--p", "999983")
+    assert (code, out, err) == (0, "PASS wilson p=999983 route=naive_factorial computed=999982 claimed=999982\n", "")
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_exponent_beyond_the_str_limit_is_an_input_error(capsys, output_format):
+    code, out, err = run_cli(capsys, "general", "--poly", "x^" + "9" * 5000, "--format", output_format)
+    assert (code, out) == (2, "")
+    assert err == "INPUT-ERROR exponent of 5000 digits exceeds the degree cap 10000 (at offset 2)\n"
+
+
+def test_rejected_rational_argument_is_quoted_by_a_prefix_and_its_length(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["tepper", "--n", "2", "--x", "1" + "0" * 5000 + "e1"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "'10000000000000000000'... (5003 characters) is not an exact rational" in err
+    assert len(err) < 300

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import nonzero_polynomials, polynomials, rationals
-from tepperlab import DifferenceParams, InputError, Polynomial, iterated_difference
+from tepperlab import (
+    BudgetExceededError,
+    DifferenceParams,
+    InputError,
+    OccupancyParams,
+    Polynomial,
+    iterated_difference,
+    occupancy,
+)
 from tepperlab.identities import (
     CONJECTURE_STEP_L,
     GENERALIZED_TEPPER,
+    IdentityReport,
     LEMMA_VANISHING,
     NUMERIC,
     POWER_SUM_FACTORIAL,
@@ -24,8 +33,11 @@ from tepperlab.identities import (
     verify_conjecture,
     verify_generalized,
     verify_lemma,
+    verify_occupancy,
     verify_tepper,
     verify_via_expansion,
+    verify_wilson,
+    verify_wilson_upto,
 )
 
 
@@ -228,6 +240,64 @@ def test_power_sum_classification():
     assert above.identity_name == "powersum"
     assert above.passed and above.claimed is None
     assert above.computed == 2 * 1 - 1 * 32
+
+
+@pytest.mark.parametrize("oracle", [7, 0])
+def test_occupancy_report_computes_a_disagreeing_oracle_and_fails(monkeypatch, oracle):
+    monkeypatch.setattr(occupancy, "brute_force_occupancy", lambda params, budget: oracle)
+    report = verify_occupancy(OccupancyParams(3, 2, 2), with_oracle=True)
+    assert (report.claimed, report.computed, report.passed) == (6, oracle, False)
+    # Without the oracle the patched enumeration is never consulted.
+    assert verify_occupancy(OccupancyParams(3, 2, 2)).passed
+
+
+def test_occupancy_report_passes_the_oracle_budget_on():
+    with pytest.raises(BudgetExceededError):
+        verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=3**5 - 1)
+    assert verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=3**5).computed == 90
+
+
+@pytest.mark.parametrize(
+    "p, route, parameters, computed",
+    [
+        (7, "naive", "p=7 route=naive_factorial", 6),
+        (7, "tepper", "p=7 route=tepper_sum", 6),
+        (7, "fermat", "p=7 route=fermat_reduced_sum", 6),
+        (9, "naive", "p=9 route=naive_factorial", 0),
+        (9, "tepper", "p=9 route=tepper_sum", 0),
+    ],
+)
+def test_wilson_report_by_route(p, route, parameters, computed):
+    assert verify_wilson(p, route) == IdentityReport("wilson", parameters, p - 1, computed, computed == p - 1)
+
+
+def test_wilson_report_refusals():
+    with pytest.raises(InputError, match="not prime"):
+        verify_wilson(9, "fermat")
+    for p in (7, 2000003):
+        with pytest.raises(InputError, match="route must be one of naive, tepper, fermat, not 'other'"):
+            verify_wilson(p, "other")
+    with pytest.raises(InputError, match=r"^p = 2000003 exceeds the input limit 1000000$"):
+        verify_wilson(2000003)
+    # The tepper and fermat routes cost p^2 steps: 1009^2 > 10^6 >= 997^2.
+    for route in ("tepper", "fermat"):
+        with pytest.raises(InputError, match=rf"^p = 1009 \(1018081 loop steps on the {route} route\) exceeds"):
+            verify_wilson(1009, route)
+        assert verify_wilson(997, route).passed
+
+
+def test_wilson_upto_reports_match_the_cli_rows():
+    reports = verify_wilson_upto(5)
+    assert [(r.identity_name, r.parameters, r.claimed, r.computed, r.passed) for r in reports] == [
+        ("wilson", "n=2 route=naive_factorial residue=1", "prime", "prime", True),
+        ("wilson", "n=3 route=naive_factorial residue=2", "prime", "prime", True),
+        ("wilson", "n=4 route=naive_factorial residue=2", "composite", "composite", True),
+        ("wilson", "n=5 route=naive_factorial residue=4", "prime", "prime", True),
+    ]
+    assert all(r.witness is None and r.error is None for r in reports)
+    assert verify_wilson_upto(1) == []
+    with pytest.raises(InputError, match=r"^N = 1415 \(1000405 loop steps\) exceeds the input limit 1000000$"):
+        verify_wilson_upto(1415)
 
 
 def test_random_polynomial_contract():

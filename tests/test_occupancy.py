@@ -7,18 +7,19 @@ import pytest
 from tepperlab import (
     BudgetExceededError,
     DifferenceParams,
+    IdentityReport,
     InputError,
     OccupancyParams,
     Polynomial,
     alternating_power_sum,
     alternating_sum_numeric,
     brute_force_occupancy,
-    check_occupancy,
     exact_occupancy_count,
     factorial,
     stirling2,
     surjection_count,
 )
+from tepperlab.identities import verify_occupancy
 
 
 def count_by_enumeration(n, p, r):
@@ -58,10 +59,10 @@ def test_brute_force_budget_guard():
 
 
 def test_check_occupancy_records_oracle():
-    with_oracle = check_occupancy(OccupancyParams(3, 2, 2), with_oracle=True)
-    assert (with_oracle.closed_form, with_oracle.oracle, with_oracle.agrees) == (6, 6, True)
-    without = check_occupancy(OccupancyParams(3, 2, 2))
-    assert (without.closed_form, without.oracle, without.agrees) == (6, None, None)
+    # Without the oracle the closed form is also the computed value.
+    for with_oracle in (True, False):
+        report = verify_occupancy(OccupancyParams(3, 2, 2), with_oracle=with_oracle)
+        assert report == IdentityReport("occupancy", "wagons=3 passengers=2 occupied=2", 6, 6, True)
 
 
 def test_surjection_examples():

@@ -61,6 +61,15 @@ def test_exponent_cap():
         parse_polynomial("x^31", degree_cap=30)
 
 
+def test_exponent_past_the_str_limit_is_a_parse_error_naming_its_length():
+    with pytest.raises(ParseError) as excinfo:
+        parse_polynomial("x^" + "9" * 5000)
+    assert excinfo.value.message == "exponent of 5000 digits exceeds the degree cap 10000"
+    assert excinfo.value.offset == 2
+    # Leading zeros are no part of the exponent's size.
+    assert parse_polynomial("x^" + "0" * 5000 + "2") == Polynomial.monomial(2)
+
+
 def test_decimal_literals_rejected():
     for source in ("0.5", "1.5*x", "x^2 + 2.5", "x^2.5", "x.5"):
         with pytest.raises(ParseError) as excinfo:
