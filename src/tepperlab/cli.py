@@ -41,6 +41,10 @@ EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = 1
 
+# The longest --x or --poly text, Linux's limit on one program argument: both
+# convert digits to int in time quadratic in their length.
+MAX_ARGUMENT_CHARS = 2**17
+
 TEXT = "text"
 JSON = "json"
 
@@ -97,11 +101,21 @@ def _row_from_identity(report: IdentityReport) -> ReportRow:
     )
 
 
+def _check_length(text: str, what: str) -> str:
+    if len(text) > MAX_ARGUMENT_CHARS:
+        raise argparse.ArgumentTypeError(f"{what} takes at most {MAX_ARGUMENT_CHARS} characters, not {len(text)}")
+    return text
+
+
+def _polynomial_text(text: str) -> str:
+    # Refused before parse_polynomial sees it: a coefficient of 2^17 digits already takes seconds.
+    return _check_length(text, "a polynomial")
+
+
 def _rational(text: str) -> Fraction:
     # Decimal reads digits past CPython's int/str limit, but converts them to int
-    # in quadratic time, about a minute at 10^6 digits, so the text is capped at 2^17 characters.
-    if len(text) > 2**17:
-        raise argparse.ArgumentTypeError(f"an exact rational takes at most {2**17} characters, not {len(text)}")
+    # in quadratic time, about a minute at 10^6 digits.
+    _check_length(text, "an exact rational")
     # A sign and ASCII digits, then a nonzero /denominator or a decimal point: no exponent, nan or inf.
     if not re.fullmatch(r"[-+]?([0-9]+(/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)", text):
         shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
@@ -242,18 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_tepper.add_argument("--n", type=_nonnegative, required=True)
 
     p_lemma = sub.add_parser("lemma", parents=[common, mode_parent], help="verify the vanishing lemma (deg P < n)")
-    p_lemma.add_argument("--poly", required=True, help="polynomial expression, e.g. 'x^2 - 1/2*x + 3'")
+    p_lemma.add_argument(
+        "--poly", type=_polynomial_text, required=True, help="polynomial expression, e.g. 'x^2 - 1/2*x + 3'"
+    )
     p_lemma.add_argument("--n", type=_nonnegative, required=True)
 
     p_general = sub.add_parser(
         "general", parents=[common, mode_parent], help="verify the a_n * n! identity for any polynomial"
     )
-    p_general.add_argument("--poly", required=True)
+    p_general.add_argument("--poly", type=_polynomial_text, required=True)
 
     p_conj = sub.add_parser(
         "conjecture", parents=[common, mode_parent], help="verify the step-l identity a_n * l^n * n!"
     )
-    p_conj.add_argument("--poly", required=True)
+    p_conj.add_argument("--poly", type=_polynomial_text, required=True)
     p_conj.add_argument("--l", type=_positive, required=True, help="shift step, l >= 1")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="seeded campaign over degrees and steps")

@@ -18,10 +18,17 @@ def binomial(n: int, k: int) -> int:
 
 
 def alternating_binomials(n: int) -> list[int]:
-    """The weights (-1)^k C(n,k) for k = 0..n of every alternating binomial sum."""
+    """The weights (-1)^k C(n,k) for k = 0..n of every alternating binomial sum.
+
+    Only C(n,k) for k <= n // 2 is computed; the rest of the row mirrors it
+    by C(n,k) = C(n,n-k).
+    """
     if n < 0:
         raise InputError("alternating_binomials requires n >= 0")
-    return [-binomial(n, k) if k & 1 else binomial(n, k) for k in range(n + 1)]
+    row = [binomial(n, k) for k in range(n // 2 + 1)]
+    row += reversed(row[: (n + 1) // 2])
+    row[1::2] = [-c for c in row[1::2]]
+    return row
 
 
 def factorial(n: int) -> int:

@@ -5,10 +5,12 @@ The three routes to (p-1)! mod p:
 
 * ``naive_factorial``: iterated modular product, the baseline;
 * ``tepper_sum``: sum of (-1)^k C(p-1,k) k^(p-1), reduced mod p.
-  The binomials are computed exactly and only then reduced; reducing them
-  first via C(p-1,k) = (-1)^k (mod p) would short-circuit the computation
-  this route exists to exercise (the shortcut lives in the test suite as a
-  cross-check assertion);
+  Each power is taken as ``pow(k, p-1, p)``, plain modular exponentiation
+  that holds for any modulus, so no Fermat step is used.  The binomials
+  are computed exactly and the sum is reduced only at the end; reducing
+  them first via C(p-1,k) = (-1)^k (mod p) would short-circuit the
+  computation this route exists to exercise (the shortcut lives in the
+  test suite as a cross-check assertion);
 * ``fermat_reduced_sum``: each k^(p-1) replaced by 1 for 1 <= k <= p-1,
   which is only justified for prime p, so composites are rejected.
 """
@@ -110,13 +112,15 @@ def factorial_mod_naive_check(p: int) -> ModularCheck:
 def factorial_mod_tepper(p: int) -> ModularCheck:
     """(p-1)! mod p via the alternating sum of C(p-1,k) k^(p-1).
 
-    Passes for every prime p; for composite p the computed residue is
-    reported without any pass expectation.
+    The weights stay exact binomials and each power is ``pow(k, p-1, p)``:
+    a product reduced mod p has the residue of the exact one, for prime
+    and composite p alike.  Passes for every prime p; for composite p the
+    computed residue is reported without any pass expectation.
     """
     if p < 2:
         raise InputError("p must be >= 2")
     n = p - 1
-    total = sum(w * k**n for k, w in enumerate(alternating_binomials(n)))
+    total = sum(w * pow(k, n, p) for k, w in enumerate(alternating_binomials(n)))
     return _wilson_check(p, total % p, ROUTE_TEPPER)
 
 

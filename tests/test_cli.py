@@ -463,6 +463,21 @@ def test_rational_argument_is_capped_at_2_to_the_17_characters(capsys):
     assert err.endswith("argument --x: an exact rational takes at most 131072 characters, not 1000000\n")
 
 
+@pytest.mark.parametrize("command", [("general",), ("lemma", "--n", "2"), ("conjecture", "--l", "2")])
+def test_polynomial_argument_is_capped_at_2_to_the_17_characters(capsys, command):
+    # A coefficient of 2^17 digits costs seconds in the quadratic digit conversion, so it is refused unparsed.
+    poly = "1" * (cli.MAX_ARGUMENT_CHARS - 1) + "x"
+    assert cli._polynomial_text(poly) == poly
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, "--poly", "1" * (2**17 + 1)])
+    assert time.perf_counter() - start < 0.5
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument --poly: a polynomial takes at most 131072 characters, not 131073\n")
+
+
 @pytest.mark.parametrize("output_format", ["text", "json"])
 def test_oracle_budget_counts_mask_width_beyond_4096_wagons(capsys, output_format):
     argv = ("occupancy", "--wagons", "1000000", "--passengers", "1", "--occupied", "1", "--oracle")

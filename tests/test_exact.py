@@ -85,12 +85,23 @@ def test_alternating_binomials_rejects_negative():
         alternating_binomials(-1)
 
 
-@pytest.mark.parametrize("n", range(61))
+@pytest.mark.parametrize("n", [*range(61), 999, 1000, 1995, 1996])
 def test_alternating_binomials_are_the_signed_pascal_row(n):
     # pascal_row's multiplicative recurrence is a route independent of binomial
     weights = alternating_binomials(n)
     assert weights == [(-1) ** k * c for k, c in enumerate(pascal_row(n))]
     assert sum(weights) == (1 if n == 0 else 0)
+
+
+def test_alternating_binomials_mirror_leaves_row_zero_a_single_one():
+    # The mirrored half must not repeat the middle entry: row 0 is [1], not [1, 1].
+    assert alternating_binomials(0) == [1]
+
+
+def test_alternating_binomials_returns_a_fresh_list():
+    weights = alternating_binomials(5)
+    weights[0] = 99
+    assert alternating_binomials(5) == [1, -5, 10, -10, 5, -1]
 
 
 @given(rationals(), rationals(), rationals())

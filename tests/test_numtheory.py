@@ -1,4 +1,6 @@
 """Modular routes to (p-1)! and the Wilson/Fermat checks."""
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -89,12 +91,22 @@ def test_wilson_primality_guards():
 
 
 def test_routes_agree_on_small_primes():
-    for p in PRIMES_TO_50:
+    for p in filter(is_prime_trial, range(2, 1000)):
         naive = factorial_mod_naive_check(p)
         tepper = factorial_mod_tepper(p)
         fermat = factorial_mod_fermat_route(p)
         assert naive.computed_residue == tepper.computed_residue == fermat.computed_residue == p - 1
         assert naive.passed and tepper.passed and fermat.passed
+
+
+@pytest.mark.parametrize("p", range(2, 401))
+def test_tepper_route_residue_is_the_exact_sum_reduced(p):
+    # The route reduces each power mod p; the exact sum, reduced once, and
+    # Tepper's identity (-1)^(p-1) (p-1)! must give the same residue, prime or not.
+    exact_sum = sum((-1) ** k * math.comb(p - 1, k) * k ** (p - 1) for k in range(p))
+    residue = factorial_mod_tepper(p).computed_residue
+    assert residue == exact_sum % p
+    assert residue == (-1) ** (p - 1) * math.factorial(p - 1) % p
 
 
 def test_wilson_matches_trial_division_small():
