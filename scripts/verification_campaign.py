@@ -18,16 +18,11 @@ from tepperlab import (
     DifferenceParams,
     OccupancyParams,
     alternating_sum_symbolic,
-    brute_force_occupancy,
-    exact_occupancy_count,
-    factorial_mod_fermat_route,
-    factorial_mod_naive,
-    factorial_mod_tepper,
+    identities,
     iterated_difference,
+    numtheory,
     sweep_conjecture,
 )
-from tepperlab.identities import random_polynomial
-from tepperlab.numtheory import is_prime_trial
 
 
 def banner(label: str, passed: int, total: int, elapsed: float) -> bool:
@@ -61,7 +56,7 @@ def main() -> int:
     agreements = 0
     instances = 1000
     for _ in range(instances):
-        p = random_polynomial(rng, rng.randint(0, args.max_degree))
+        p = identities.random_polynomial(rng, rng.randint(0, args.max_degree))
         params = DifferenceParams(order=rng.randint(0, args.max_degree), step=rng.randint(1, args.max_step))
         agreements += iterated_difference(p, params) == alternating_sum_symbolic(p, params)
     all_ok &= banner("dual-path agreement", agreements, instances, time.perf_counter() - start)
@@ -72,21 +67,13 @@ def main() -> int:
     for n in range(bound + 1):
         for p in range(bound + 1):
             for r in range(n + 1):
-                params = OccupancyParams(n, p, r)
                 total += 1
-                agree += exact_occupancy_count(params) == brute_force_occupancy(params)
+                agree += identities.verify_occupancy(OccupancyParams(n, p, r), with_oracle=True).passed
     all_ok &= banner("occupancy oracle grid", agree, total, time.perf_counter() - start)
 
     start = time.perf_counter()
-    primes = [p for p in range(2, args.prime_bound + 1) if is_prime_trial(p)]
-    routes_ok = 0
-    for p in primes:
-        naive = factorial_mod_naive(p - 1, p)
-        routes_ok += (
-            naive == factorial_mod_tepper(p).computed_residue
-            == factorial_mod_fermat_route(p).computed_residue
-            == p - 1
-        )
+    primes = [p for p in range(2, args.prime_bound + 1) if numtheory.is_prime_trial(p)]
+    routes_ok = sum(all(numtheory.wilson_route(r)(p).passed for r in numtheory.WILSON_ROUTES) for p in primes)
     all_ok &= banner("modular route agreement", routes_ok, len(primes), time.perf_counter() - start)
 
     return 0 if all_ok else 1

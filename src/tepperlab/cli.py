@@ -19,7 +19,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -51,31 +51,28 @@ JSON = "json"
 
 @dataclass(frozen=True)
 class ReportRow:
-    """Output-ready report: values already rendered to exact strings."""
+    """A library report to print: its values are rendered only when a line is built."""
 
-    name: str
-    parameters: str
-    claimed: str | None
-    computed: str | None
-    passed: bool
-    witness: str | None = None
+    report: IdentityReport
     values: str | None = None  # the text line's custom tail, else "computed=... claimed=..."
 
     def text_line(self) -> str:
-        values = self.values if self.values is not None else f"computed={self.computed} claimed={self.claimed}"
-        return f"{'PASS' if self.passed else 'FAIL'} {self.name} {self.parameters} {values}"
+        r = self.report
+        values = self.values or f"computed={_render_value(r.computed)} claimed={_render_value(r.claimed)}"
+        return f"{'PASS' if r.passed else 'FAIL'} {r.identity_name} {r.parameters} {values}"
 
     def json_object(self) -> dict:
+        r = self.report
         obj = {
             "schema_version": SCHEMA_VERSION,
-            "identity_name" if self.name in IDENTITY_NAMES else "command": self.name,
-            "parameters": self.parameters,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "passed": self.passed,
+            "identity_name" if r.identity_name in IDENTITY_NAMES else "command": r.identity_name,
+            "parameters": r.parameters,
+            "claimed": _render_value(r.claimed),
+            "computed": _render_value(r.computed),
+            "passed": r.passed,
         }
-        if self.witness is not None:
-            obj["witness"] = self.witness
+        if r.witness is not None:
+            obj["witness"] = _render_value(r.witness)
         return obj
 
 
@@ -87,18 +84,11 @@ def _render_value(value) -> str | None:
     return _render_rational(value)
 
 
-def _row_from_identity(report: IdentityReport) -> ReportRow:
+def _row_from_identity(report: IdentityReport, values: str | None = None) -> ReportRow:
     """The report as a row; a report with ``error`` set raises ``InputError``."""
     if report.error is not None:
         raise InputError(report.error)
-    return ReportRow(
-        name=report.identity_name,
-        parameters=report.parameters,
-        claimed=_render_value(report.claimed),
-        computed=_render_value(report.computed),
-        passed=report.passed,
-        witness=_render_value(report.witness),
-    )
+    return ReportRow(report, values)
 
 
 def _check_length(text: str, what: str) -> str:
@@ -205,32 +195,24 @@ def _cmd_powersum(options: argparse.Namespace) -> list[ReportRow]:
 
 def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
     params = occupancy.OccupancyParams(options.wagons, options.passengers, options.occupied)
-    budget = options.budget if options.budget is not None else _default_budget()
-    row = _row_from_identity(identities.verify_occupancy(params, options.oracle, budget))
-    oracle = row.computed if options.oracle else "skipped"
-    verdict = ("agrees" if row.passed else "disagrees") if options.oracle else "unchecked"
-    return [replace(row, values=f"closed_form={row.claimed} oracle={oracle} {verdict}")]
+    if options.oracle:
+        budget = options.budget if options.budget is not None else _default_budget()
+        report = identities.verify_occupancy(params, with_oracle=True, budget=budget)
+        oracle = f"{_render_value(report.computed)} {'agrees' if report.passed else 'disagrees'}"
+    else:
+        report = identities.verify_occupancy(params)
+        oracle = "skipped unchecked"
+    return [_row_from_identity(report, f"closed_form={_render_value(report.claimed)} oracle={oracle}")]
 
 
 def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
     if (options.p is None) == (options.upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
     if options.upto is None:
-        return [_row_from_identity(identities.verify_wilson(options.p, options.route))]
+        return [_row_from_identity(identities.verify_wilson(options.p, options.route or "naive"))]
+    if options.route is not None:
+        raise InputError("wilson --route applies only with --p, not with --upto")
     return [_row_from_identity(r) for r in identities.verify_wilson_upto(options.upto)]
-
-
-_HANDLERS = {
-    "tepper": _cmd_tepper,
-    "lemma": _cmd_lemma,
-    "general": _cmd_general,
-    "conjecture": _cmd_conjecture,
-    "sweep": _cmd_sweep,
-    "expansion": _cmd_expansion,
-    "occupancy": _cmd_occupancy,
-    "powersum": _cmd_powersum,
-    "wilson": _cmd_wilson,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,39 +234,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tepper = sub.add_parser("tepper", parents=[common, mode_parent], help="verify the n! identity")
+    def command(name, handler, parents, summary):
+        subparser = sub.add_parser(name, parents=[common, *parents], help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    p_tepper = command("tepper", _cmd_tepper, [mode_parent], "verify the n! identity")
     p_tepper.add_argument("--n", type=_nonnegative, required=True)
 
-    p_lemma = sub.add_parser("lemma", parents=[common, mode_parent], help="verify the vanishing lemma (deg P < n)")
+    p_lemma = command("lemma", _cmd_lemma, [mode_parent], "verify the vanishing lemma (deg P < n)")
     p_lemma.add_argument(
         "--poly", type=_polynomial_text, required=True, help="polynomial expression, e.g. 'x^2 - 1/2*x + 3'"
     )
     p_lemma.add_argument("--n", type=_nonnegative, required=True)
 
-    p_general = sub.add_parser(
-        "general", parents=[common, mode_parent], help="verify the a_n * n! identity for any polynomial"
-    )
+    p_general = command("general", _cmd_general, [mode_parent], "verify the a_n * n! identity for any polynomial")
     p_general.add_argument("--poly", type=_polynomial_text, required=True)
 
-    p_conj = sub.add_parser(
-        "conjecture", parents=[common, mode_parent], help="verify the step-l identity a_n * l^n * n!"
-    )
+    p_conj = command("conjecture", _cmd_conjecture, [mode_parent], "verify the step-l identity a_n * l^n * n!")
     p_conj.add_argument("--poly", type=_polynomial_text, required=True)
     p_conj.add_argument("--l", type=_positive, required=True, help="shift step, l >= 1")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="seeded campaign over degrees and steps")
+    p_sweep = command("sweep", _cmd_sweep, [], "seeded campaign over degrees and steps")
     p_sweep.add_argument("--max-degree", type=_nonnegative, required=True)
     p_sweep.add_argument("--max-step", type=_positive, required=True)
     p_sweep.add_argument("--trials", type=_positive, required=True)
     p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p_exp = sub.add_parser(
-        "expansion", parents=[common], help="verify via binomial expansion and summation exchange"
-    )
+    p_exp = command("expansion", _cmd_expansion, [], "verify via binomial expansion and summation exchange")
     p_exp.add_argument("--n", type=_nonnegative, required=True)
     p_exp.add_argument("--x", type=_rational, default=Fraction(0))
 
-    p_occ = sub.add_parser("occupancy", parents=[common], help="count assignments occupying exactly r wagons")
+    p_occ = command("occupancy", _cmd_occupancy, [], "count assignments occupying exactly r wagons")
     p_occ.add_argument("--wagons", type=_nonnegative, required=True)
     p_occ.add_argument("--passengers", type=_nonnegative, required=True)
     p_occ.add_argument("--occupied", type=_nonnegative, required=True)
@@ -296,27 +277,29 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"enumeration budget (default {occupancy.DEFAULT_ENUMERATION_BUDGET}, or ${BUDGET_ENV_VAR})",
     )
 
-    p_pow = sub.add_parser("powersum", parents=[common], help="signed binomial power sum with classification")
+    p_pow = command("powersum", _cmd_powersum, [], "signed binomial power sum with classification")
     p_pow.add_argument("--n", type=_nonnegative, required=True)
     p_pow.add_argument("--p", type=_positive, required=True)
 
-    p_wilson = sub.add_parser("wilson", parents=[common], help="factorial congruence checks and primality")
+    p_wilson = command("wilson", _cmd_wilson, [], "factorial congruence checks and primality")
     p_wilson.add_argument("--p", type=_positive, default=None, help="single modulus to check")
     p_wilson.add_argument("--upto", type=_positive, default=None, help="compare against trial division for 2..N")
-    p_wilson.add_argument("--route", choices=numtheory.WILSON_ROUTES, default="naive")
+    p_wilson.add_argument("--route", choices=numtheory.WILSON_ROUTES, default=None, help="route for --p (default naive)")
 
     return parser
 
 
 def _emit(rows: Sequence[ReportRow], output_format: str, summary: str | None) -> int:
-    for row in rows:
-        if output_format == JSON:
-            print(json.dumps(row.json_object(), separators=(",", ":")))
-        else:
-            print(row.text_line())
+    # Every line is built before any is written, so a failure while rendering leaves stdout empty.
+    if output_format == JSON:
+        lines = [json.dumps(row.json_object(), separators=(",", ":")) for row in rows]
+    else:
+        lines = [row.text_line() for row in rows]
+    for line in lines:
+        print(line)
     if summary is not None:
         print(summary, file=sys.stderr if output_format == JSON else sys.stdout)
-    return EXIT_OK if all(row.passed for row in rows) else EXIT_FAIL
+    return EXIT_OK if all(row.report.passed for row in rows) else EXIT_FAIL
 
 
 def _attach_signed_values(argv: Sequence[str]) -> list[str]:
@@ -338,11 +321,11 @@ def _attach_signed_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     options = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        rows = _HANDLERS[options.command](options)
+        rows = options.handler(options)
         summary = None
         if options.command == "sweep":
             # An error report raises in _row_from_identity, so none reach here.
-            passed = sum(1 for r in rows if r.passed)
+            passed = sum(1 for r in rows if r.report.passed)
             summary = f"sweep: total={len(rows)} passed={passed} failed={len(rows) - passed} input-errors=0"
         return _emit(rows, options.format, summary)
     except BudgetExceededError as exc:

@@ -101,6 +101,13 @@ def test_budget_env_must_be_integer(capsys, monkeypatch):
     assert code == 2
 
 
+def test_budget_env_is_read_only_when_the_oracle_runs(capsys, monkeypatch):
+    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "lots")
+    code, out, err = run_cli(capsys, "occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2")
+    assert (code, err) == (0, "")
+    assert out == "PASS occupancy wagons=3 passengers=2 occupied=2 closed_form=6 oracle=skipped unchecked\n"
+
+
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_budget_env_must_be_positive(capsys, monkeypatch, raw):
     monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
@@ -219,6 +226,13 @@ def test_wilson_requires_exactly_one_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_wilson_route_is_refused_with_upto(capsys, output_format):
+    code, out, err = run_cli(capsys, "wilson", "--upto", "3", "--route", "tepper", "--format", output_format)
+    assert (code, out) == (2, "")
+    assert err == "INPUT-ERROR wilson --route applies only with --p, not with --upto\n"
+
+
 def test_wilson_limit_refusal(capsys):
     code, _, err = run_cli(capsys, "wilson", "--p", "2000003")
     assert code == 2
@@ -328,14 +342,32 @@ def test_symbolic_witness_renders_a_coefficient_beyond_the_str_limit(capsys):
 
 
 def test_unexpected_exception_exits_4_with_internal_error_line(capsys, monkeypatch):
-    def broken(options):
+    def broken(*args):
         raise RuntimeError("invariant broken")
 
-    monkeypatch.setitem(cli._HANDLERS, "tepper", broken)
+    monkeypatch.setattr(cli.identities, "verify_tepper", broken)
     code, out, err = run_cli(capsys, "tepper", "--n", "3")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "INTERNAL-ERROR RuntimeError: invariant broken\n"
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_a_failure_while_rendering_leaves_stdout_empty(capsys, monkeypatch, output_format):
+    # The sweep renders polynomials for every row; the 5th call falls past the first row.
+    render_polynomial, calls = cli.render_polynomial, []
+
+    def render_then_break(p):
+        calls.append(p)
+        if len(calls) == 5:
+            raise RuntimeError("render broken")
+        return render_polynomial(p)
+
+    monkeypatch.setattr(cli, "render_polynomial", render_then_break)
+    argv = ("sweep", "--max-degree", "2", "--max-step", "2", "--trials", "1", "--format", output_format)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "INTERNAL-ERROR RuntimeError: render broken\n"
 
 
 def test_out_of_range_residue_is_an_internal_error_not_an_input_error(capsys, monkeypatch):

@@ -51,7 +51,7 @@ def test_verification_campaign_stdout_is_deterministic():
     assert all(re.fullmatch(r"PASS [a-z -]+: (\d+)/\1", line) for line in lines), runs[0].stdout
 
 
-@pytest.mark.parametrize("workload", ["symbolic_highdeg", "cli_mix"])
+@pytest.mark.parametrize("workload", ["symbolic_highdeg", "cli_mix", "modular_counting"])
 def test_benchmark_traced_run_records_every_required_layer(workload):
     # The traced run fails when a layer the workload must exercise records no
     # calls, e.g. when library code stops going through a wrapped Polynomial method.
