@@ -4,6 +4,9 @@ Arbitrary-precision naturals are plain Python ints; exact rationals are
 ``fractions.Fraction`` (always reduced, denominator > 0).  Those two built-in
 types are the only numeric domains used anywhere in this package; nothing
 here is floating point.
+
+Every binomial row comes from ``pascal_row``, an exact integer recurrence
+whose central entry is checked against ``math.comb``.
 """
 from __future__ import annotations
 
@@ -18,15 +21,8 @@ def binomial(n: int, k: int) -> int:
 
 
 def alternating_binomials(n: int) -> list[int]:
-    """The weights (-1)^k C(n,k) for k = 0..n of every alternating binomial sum.
-
-    Only C(n,k) for k <= n // 2 is computed; the rest of the row mirrors it
-    by C(n,k) = C(n,n-k).
-    """
-    if n < 0:
-        raise InputError("alternating_binomials requires n >= 0")
-    row = [binomial(n, k) for k in range(n // 2 + 1)]
-    row += reversed(row[: (n + 1) // 2])
+    """The weights (-1)^k C(n,k) for k = 0..n of every alternating sum: a fresh signed copy of ``pascal_row(n)``."""
+    row = list(pascal_row(n))
     row[1::2] = [-c for c in row[1::2]]
     return row
 
@@ -39,14 +35,16 @@ def factorial(n: int) -> int:
 def pascal_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle: (C(n,0), ..., C(n,n)).
 
-    Uses the multiplicative recurrence C(n,k+1) = C(n,k) * (n-k) / (k+1);
-    the division is exact at every step, so no factorials are formed.
+    Uses the multiplicative recurrence C(n,k+1) = C(n,k) * (n-k) / (k+1) for
+    k < n // 2, exact at every step, and mirrors the rest by C(n,k) = C(n,n-k).
+    A central entry that differs from ``binomial`` is a defect: AssertionError.
     """
     if n < 0:
         raise InputError("pascal_row requires n >= 0")
     row = [1]
-    entry = 1
-    for k in range(n):
-        entry = entry * (n - k) // (k + 1)
-        row.append(entry)
+    for k in range(n // 2):
+        row.append(row[-1] * (n - k) // (k + 1))
+    if row[-1] != binomial(n, n // 2):
+        raise AssertionError(f"pascal_row({n}): the recurrence disagrees with binomial({n}, {n // 2})")
+    row += reversed(row[: (n + 1) // 2])
     return tuple(row)

@@ -154,13 +154,19 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     Expanding (x-k)^n binomially and swapping sums leaves, against each
     power x^j, the inner coefficient sum of (-1)^k C(n,k) (-k)^(n-j).  The
     inner sums must vanish for 1 <= j <= n and equal n! at j = 0; the
-    reconstructed polynomial (witness) is then the constant n!.
+    reconstructed polynomial (witness) is then the constant n!.  The terms
+    (-1)^k C(n,k) (-k)^s are kept and multiplied by -k once per power s, so
+    the inner sums cost n(n+1) multiplications, not (n+1)^2 powers.
     """
     if n < 0:
         return _input_error(TEPPER, f"n={n} route=expansion", "n must be >= 0")
     xf = as_fraction(x)
-    weights = alternating_binomials(n)
-    inner = [sum(w * (-k) ** (n - j) for k, w in enumerate(weights)) for j in range(n + 1)]
+    weights = terms = alternating_binomials(n)
+    moments = [sum(terms)]
+    for _ in range(n):
+        terms = [t * -k for k, t in enumerate(terms)]
+        moments.append(sum(terms))
+    inner = moments[::-1]
     witness = Polynomial(tuple(Fraction(abs(weights[j]) * inner[j]) for j in range(n + 1)))
     total_at_x = witness.evaluate(xf)
     claimed = Fraction(factorial(n))
@@ -221,6 +227,8 @@ def verify_wilson(p: int, route: str = "naive") -> IdentityReport:
 
 def verify_wilson_upto(upto: int) -> list[IdentityReport]:
     """Wilson's "prime"/"composite" verdict against trial division's for n = 2..upto, at upto(upto-1)/2 loop steps."""
+    if upto < 2:
+        raise InputError(f"N = {upto} checks nothing; the range 2..N needs N >= 2")
     steps = upto * (upto - 1) // 2
     numtheory.check_loop_steps(steps, f"N = {upto} ({steps} loop steps)")
     reports = []

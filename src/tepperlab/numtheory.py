@@ -112,10 +112,12 @@ def factorial_mod_naive_check(p: int) -> ModularCheck:
 def factorial_mod_tepper(p: int) -> ModularCheck:
     """(p-1)! mod p via the alternating sum of C(p-1,k) k^(p-1).
 
-    The weights stay exact binomials and each power is ``pow(k, p-1, p)``:
-    a product reduced mod p has the residue of the exact one, for prime
-    and composite p alike.  Passes for every prime p; for composite p the
-    computed residue is reported without any pass expectation.
+    The weights stay exact binomials, the signed row that ``pascal_row``
+    builds over the integers, and each power is ``pow(k, p-1, p)``: a
+    product reduced mod p has the residue of the exact one, for prime and
+    composite p alike.  The sum is reduced mod p only at the end.  Passes
+    for every prime p; for composite p the computed residue is reported
+    without any pass expectation.
     """
     if p < 2:
         raise InputError("p must be >= 2")

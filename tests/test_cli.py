@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tepperlab import cli
+from tepperlab import alternating_binomials, cli
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +233,14 @@ def test_wilson_route_is_refused_with_upto(capsys, output_format):
     assert err == "INPUT-ERROR wilson --route applies only with --p, not with --upto\n"
 
 
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_wilson_upto_below_two_is_an_input_error(capsys, output_format):
+    # The range 2..N is empty for N = 1, so the call would check nothing.
+    code, out, err = run_cli(capsys, "wilson", "--upto", "1", "--format", output_format)
+    assert (code, out) == (2, "")
+    assert err == "INPUT-ERROR N = 1 checks nothing; the range 2..N needs N >= 2\n"
+
+
 def test_wilson_limit_refusal(capsys):
     code, _, err = run_cli(capsys, "wilson", "--p", "2000003")
     assert code == 2
@@ -350,6 +358,16 @@ def test_unexpected_exception_exits_4_with_internal_error_line(capsys, monkeypat
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "INTERNAL-ERROR RuntimeError: invariant broken\n"
+
+
+def test_a_wrong_central_binomial_is_an_internal_error(capsys, monkeypatch):
+    # pascal_row checks its recurrence against binomial(n, n // 2) once per row.
+    monkeypatch.setattr("tepperlab.exact.binomial", lambda n, k: math.comb(n, k) + (k == n // 2))
+    with pytest.raises(AssertionError):
+        alternating_binomials(7)
+    code, out, err = run_cli(capsys, "powersum", "--n", "7", "--p", "3")
+    assert (code, out) == (4, "")
+    assert err == "INTERNAL-ERROR AssertionError: pascal_row(7): the recurrence disagrees with binomial(7, 3)\n"
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])

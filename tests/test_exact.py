@@ -1,5 +1,6 @@
 """Combinatorial primitives against independent enumeration oracles."""
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,15 @@ def test_alternating_binomials_are_the_signed_pascal_row(n):
     weights = alternating_binomials(n)
     assert weights == [(-1) ** k * c for k, c in enumerate(pascal_row(n))]
     assert sum(weights) == (1 if n == 0 else 0)
+
+
+@pytest.mark.parametrize("n", [*range(61), 499, 999, 1000, 1995, 1996, 4000])
+def test_rows_match_math_comb(n):
+    row = tuple(math.comb(n, k) for k in range(n + 1))
+    assert pascal_row(n) == row
+    weights = alternating_binomials(n)
+    assert all(type(w) is int for w in weights)
+    assert weights == [(-1) ** k * c for k, c in enumerate(row)]
 
 
 def test_alternating_binomials_mirror_leaves_row_zero_a_single_one():

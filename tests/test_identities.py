@@ -295,7 +295,8 @@ def test_wilson_upto_reports_match_the_cli_rows():
         ("wilson", "n=5 route=naive_factorial residue=4", "prime", "prime", True),
     ]
     assert all(r.witness is None and r.error is None for r in reports)
-    assert verify_wilson_upto(1) == []
+    with pytest.raises(InputError, match=r"^N = 1 checks nothing; the range 2\.\.N needs N >= 2$"):
+        verify_wilson_upto(1)
     with pytest.raises(InputError, match=r"^N = 1415 \(1000405 loop steps\) exceeds the input limit 1000000$"):
         verify_wilson_upto(1415)
 
