@@ -84,13 +84,6 @@ def _render_value(value) -> str | None:
     return _render_rational(value)
 
 
-def _row_from_identity(report: IdentityReport, values: str | None = None) -> ReportRow:
-    """The report as a row; a report with ``error`` set raises ``InputError``."""
-    if report.error is not None:
-        raise InputError(report.error)
-    return ReportRow(report, values)
-
-
 def _check_length(text: str, what: str) -> str:
     if len(text) > MAX_ARGUMENT_CHARS:
         raise argparse.ArgumentTypeError(f"{what} takes at most {MAX_ARGUMENT_CHARS} characters, not {len(text)}")
@@ -102,30 +95,42 @@ def _polynomial_text(text: str) -> str:
     return _check_length(text, "a polynomial")
 
 
+def _quoted(text: str) -> str:
+    """A rejected argument for an error message: one longer than 40 characters by its first 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _rational(text: str) -> Fraction:
     # Decimal reads digits past CPython's int/str limit, but converts them to int
     # in quadratic time, about a minute at 10^6 digits.
     _check_length(text, "an exact rational")
     # A sign and ASCII digits, then a nonzero /denominator or a decimal point: no exponent, nan or inf.
     if not re.fullmatch(r"[-+]?([0-9]+(/0*[1-9][0-9]*|\.[0-9]*)?|\.[0-9]+)", text):
-        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"{shown} is not an exact rational (use 'num/den' or an integer)")
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not an exact rational (use 'num/den' or an integer)")
     numerator, _, denominator = text.partition("/")
     return Fraction(Decimal(numerator)) / int(Decimal(denominator or 1))
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+def _integer(text: str, minimum: int | None = None) -> int:
+    """An integer option: a sign and ASCII digits, no more than int() converts, at least ``minimum``."""
+    # int() alone would also read "٣" and " 1_0 ", and past the digit limit argparse would echo the whole text.
+    if not re.fullmatch(r"[-+]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not an integer (a sign and ASCII digits)")
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} exceeds the int/str digit limit") from None
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}")
     return value
+
+
+def _nonnegative(text: str) -> int:
+    return _integer(text, 0)
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+    return _integer(text, 1)
 
 
 def _default_budget() -> int:
@@ -141,56 +146,44 @@ def _default_budget() -> int:
     return budget
 
 
-def _resolve_mode(options: argparse.Namespace) -> str:
-    # Symbolic is the default; an explicit --x without --mode asks for a
-    # pointwise check, so numeric wins there.
-    if options.mode is not None:
-        return options.mode
-    return identities.NUMERIC if options.x is not None else identities.SYMBOLIC
+def _point(options: argparse.Namespace) -> tuple[Fraction, str]:
+    """The evaluation point (default 0) and the mode.
 
-
-def _x_value(options: argparse.Namespace) -> Fraction:
-    return options.x if options.x is not None else Fraction(0)
+    Symbolic is the default; an explicit --x without --mode asks for a
+    pointwise check, so numeric wins there.
+    """
+    if options.x is None:
+        return Fraction(0), options.mode or identities.SYMBOLIC
+    return options.x, options.mode or identities.NUMERIC
 
 
 def _cmd_tepper(options: argparse.Namespace) -> list[ReportRow]:
-    report = identities.verify_tepper(options.n, _x_value(options), _resolve_mode(options))
-    return [_row_from_identity(report)]
+    return [ReportRow(identities.verify_tepper(options.n, *_point(options)))]
 
 
 def _cmd_lemma(options: argparse.Namespace) -> list[ReportRow]:
-    p = parse_polynomial(options.poly)
-    report = identities.verify_lemma(p, options.n, _x_value(options), _resolve_mode(options))
-    return [_row_from_identity(report)]
+    return [ReportRow(identities.verify_lemma(parse_polynomial(options.poly), options.n, *_point(options)))]
 
 
 def _cmd_general(options: argparse.Namespace) -> list[ReportRow]:
-    p = parse_polynomial(options.poly)
-    report = identities.verify_generalized(p, _x_value(options), _resolve_mode(options))
-    return [_row_from_identity(report)]
+    return [ReportRow(identities.verify_generalized(parse_polynomial(options.poly), *_point(options)))]
 
 
 def _cmd_conjecture(options: argparse.Namespace) -> list[ReportRow]:
-    p = parse_polynomial(options.poly)
-    report = identities.verify_conjecture(p, options.l, _x_value(options), _resolve_mode(options))
-    return [_row_from_identity(report)]
+    return [ReportRow(identities.verify_conjecture(parse_polynomial(options.poly), options.l, *_point(options)))]
 
 
 def _cmd_expansion(options: argparse.Namespace) -> list[ReportRow]:
-    report = identities.verify_via_expansion(options.n, _x_value(options))
-    return [_row_from_identity(report)]
+    return [ReportRow(identities.verify_via_expansion(options.n, options.x))]
 
 
 def _cmd_sweep(options: argparse.Namespace) -> list[ReportRow]:
-    reports = identities.sweep_conjecture(
-        options.max_degree, options.max_step, options.trials, options.seed
-    )
-    return [_row_from_identity(r) for r in reports]
+    reports = identities.sweep_conjecture(options.max_degree, options.max_step, options.trials, options.seed)
+    return [ReportRow(r) for r in reports]
 
 
 def _cmd_powersum(options: argparse.Namespace) -> list[ReportRow]:
-    report = identities.classify_power_sum(options.n, options.p)
-    return [_row_from_identity(report)]
+    return [ReportRow(identities.classify_power_sum(options.n, options.p))]
 
 
 def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
@@ -199,20 +192,22 @@ def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
         budget = options.budget if options.budget is not None else _default_budget()
         report = identities.verify_occupancy(params, with_oracle=True, budget=budget)
         oracle = f"{_render_value(report.computed)} {'agrees' if report.passed else 'disagrees'}"
+    elif options.budget is not None:
+        raise InputError("occupancy --budget applies only with --oracle")
     else:
         report = identities.verify_occupancy(params)
         oracle = "skipped unchecked"
-    return [_row_from_identity(report, f"closed_form={_render_value(report.claimed)} oracle={oracle}")]
+    return [ReportRow(report, f"closed_form={_render_value(report.claimed)} oracle={oracle}")]
 
 
 def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
     if (options.p is None) == (options.upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
     if options.upto is None:
-        return [_row_from_identity(identities.verify_wilson(options.p, options.route or "naive"))]
+        return [ReportRow(identities.verify_wilson(options.p, options.route or "naive"))]
     if options.route is not None:
         raise InputError("wilson --route applies only with --p, not with --upto")
-    return [_row_from_identity(r) for r in identities.verify_wilson_upto(options.upto)]
+    return [ReportRow(r) for r in identities.verify_wilson_upto(options.upto)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-degree", type=_nonnegative, required=True)
     p_sweep.add_argument("--max-step", type=_positive, required=True)
     p_sweep.add_argument("--trials", type=_positive, required=True)
-    p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_sweep.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
 
     p_exp = command("expansion", _cmd_expansion, [], "verify via binomial expansion and summation exchange")
     p_exp.add_argument("--n", type=_nonnegative, required=True)
@@ -324,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         rows = options.handler(options)
         summary = None
         if options.command == "sweep":
-            # An error report raises in _row_from_identity, so none reach here.
+            # Every refusal raises InputError, so no refused instance reaches here.
             passed = sum(1 for r in rows if r.report.passed)
             summary = f"sweep: total={len(rows)} passed={passed} failed={len(rows) - passed} input-errors=0"
         return _emit(rows, options.format, summary)

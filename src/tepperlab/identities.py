@@ -9,10 +9,9 @@ Symbolic mode is the default everywhere.  A symbolic pass is a proof of the
 identity for that parameter instance over all x; numeric mode evaluates the
 sum pointwise instead and exists to exercise the evaluation path.
 
-Precondition violations (wrong degree, zero polynomial, step < 1) come back
-as reports with ``error`` set, distinct from a failed identity, so sweeps
-cannot confuse misuse with a falsified theorem.  The occupancy and Wilson
-builders raise InputError instead, like the routes they call.
+Every builder raises InputError on a violated precondition (wrong degree,
+zero polynomial, step < 1, an unknown mode, a float x), so a report
+always carries a result: misuse can never pass for a falsified theorem.
 """
 from __future__ import annotations
 
@@ -58,26 +57,11 @@ class IdentityReport:
     computed: Value
     passed: bool
     witness: Polynomial | None = None
-    error: str | None = None
-
-    @property
-    def is_input_error(self) -> bool:
-        return self.error is not None
-
-    @property
-    def status(self) -> str:
-        if self.error is not None:
-            return "input-error"
-        return "pass" if self.passed else "fail"
 
 
 def _check_mode(mode: str) -> None:
     if mode not in (NUMERIC, SYMBOLIC):
         raise InputError(f"mode must be '{NUMERIC}' or '{SYMBOLIC}', not {mode!r}")
-
-
-def _input_error(name: str, parameters: str, message: str) -> IdentityReport:
-    return IdentityReport(name, parameters, None, None, False, error=message)
 
 
 def _step_sum_report(
@@ -108,44 +92,42 @@ def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport
     n = 0 is allowed: the sum is the single term (x-0)^0 = 1 = 0!.
     """
     _check_mode(mode)
-    parameters = f"n={n}"
     if n < 0:
-        return _input_error(TEPPER, parameters, "n must be >= 0")
-    return _step_sum_report(TEPPER, parameters, Polynomial.monomial(n), n, 1, as_fraction(x), mode)
+        raise InputError("n must be >= 0")
+    return _step_sum_report(TEPPER, f"n={n}", Polynomial.monomial(n), n, 1, as_fraction(x), mode)
 
 
 def verify_lemma(p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
     """The order-n alternating sum annihilates any polynomial of degree < n."""
     _check_mode(mode)
     xf = as_fraction(x)
-    parameters = f'poly="{render_polynomial(p)}" n={n}'
     if n < 0:
-        return _input_error(LEMMA_VANISHING, parameters, "n must be >= 0")
+        raise InputError("n must be >= 0")
     if not p.degree < n:
-        return _input_error(LEMMA_VANISHING, parameters, f"degree not less than n (deg P = {p.degree}, n = {n})")
-    return _step_sum_report(LEMMA_VANISHING, parameters, p, n, 1, xf, mode)
+        raise InputError(f"degree not less than n (deg P = {p.degree}, n = {n})")
+    return _step_sum_report(LEMMA_VANISHING, f'poly="{render_polynomial(p)}" n={n}', p, n, 1, xf, mode)
 
 
 def verify_generalized(p: Polynomial, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
     """For deg P = n, the order-n alternating sum is the constant a_n * n!."""
     _check_mode(mode)
     xf = as_fraction(x)
-    parameters = f'poly="{render_polynomial(p)}"'
     if p.is_zero():
-        return _input_error(GENERALIZED_TEPPER, parameters, "zero polynomial has no degree or leading coefficient")
-    return _step_sum_report(GENERALIZED_TEPPER, f"{parameters} n={p.degree}", p, p.degree, 1, xf, mode)
+        raise InputError("zero polynomial has no degree or leading coefficient")
+    parameters = f'poly="{render_polynomial(p)}" n={p.degree}'
+    return _step_sum_report(GENERALIZED_TEPPER, parameters, p, p.degree, 1, xf, mode)
 
 
 def verify_conjecture(p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
     """With shifts x - l*k the order-n sum is the constant a_n * l^n * n!."""
     _check_mode(mode)
     xf = as_fraction(x)
-    parameters = f'poly="{render_polynomial(p)}" l={l}'
     if l < 1:
-        return _input_error(CONJECTURE_STEP_L, parameters, "step l must be >= 1")
+        raise InputError("step l must be >= 1")
     if p.is_zero():
-        return _input_error(CONJECTURE_STEP_L, parameters, "zero polynomial has no degree or leading coefficient")
-    return _step_sum_report(CONJECTURE_STEP_L, f"{parameters} n={p.degree}", p, p.degree, l, xf, mode)
+        raise InputError("zero polynomial has no degree or leading coefficient")
+    parameters = f'poly="{render_polynomial(p)}" l={l} n={p.degree}'
+    return _step_sum_report(CONJECTURE_STEP_L, parameters, p, p.degree, l, xf, mode)
 
 
 def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
@@ -159,7 +141,7 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     the inner sums cost n(n+1) multiplications, not (n+1)^2 powers.
     """
     if n < 0:
-        return _input_error(TEPPER, f"n={n} route=expansion", "n must be >= 0")
+        raise InputError("n must be >= 0")
     xf = as_fraction(x)
     weights = terms = alternating_binomials(n)
     moments = [sum(terms)]
@@ -183,11 +165,7 @@ def classify_power_sum(n: int, p: int) -> IdentityReport:
     made; the raw value is reported and the report passes vacuously.
     """
     parameters = f"n={n} p={p}"
-    try:
-        value = occupancy.alternating_power_sum(n, p)
-    except InputError as exc:
-        return _input_error("powersum", parameters, str(exc))
-    computed = Fraction(value)
+    computed = Fraction(occupancy.alternating_power_sum(n, p))
     if p < n:
         claimed = Fraction(0)
         return IdentityReport(POWER_SUM_ZERO, parameters, claimed, computed, computed == claimed)

@@ -108,6 +108,13 @@ def test_budget_env_is_read_only_when_the_oracle_runs(capsys, monkeypatch):
     assert out == "PASS occupancy wagons=3 passengers=2 occupied=2 closed_form=6 oracle=skipped unchecked\n"
 
 
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_budget_is_refused_without_the_oracle(capsys, output_format):
+    argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--budget", "1")
+    code, out, err = run_cli(capsys, *argv, "--format", output_format)
+    assert (code, out, err) == (2, "", "INPUT-ERROR occupancy --budget applies only with --oracle\n")
+
+
 @pytest.mark.parametrize("raw", ["0", "-5"])
 def test_budget_env_must_be_positive(capsys, monkeypatch, raw):
     monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
@@ -647,3 +654,72 @@ def test_rejected_rational_argument_is_quoted_by_a_prefix_and_its_length(capsys)
     assert out == ""
     assert "'10000000000000000000'... (5003 characters) is not an exact rational" in err
     assert len(err) < 300
+
+
+# One argv per integer option, the value to test last.
+_INTEGER_OPTIONS = {
+    "--n": ["tepper", "--n"],
+    "--l": ["conjecture", "--poly", "x", "--l"],
+    "--p": ["powersum", "--n", "2", "--p"],
+    "--upto": ["wilson", "--upto"],
+    "--max-degree": ["sweep", "--max-step", "1", "--trials", "1", "--max-degree"],
+    "--max-step": ["sweep", "--max-degree", "1", "--trials", "1", "--max-step"],
+    "--trials": ["sweep", "--max-degree", "1", "--max-step", "1", "--trials"],
+    "--seed": ["sweep", "--max-degree", "1", "--max-step", "1", "--trials", "1", "--seed"],
+    "--wagons": ["occupancy", "--passengers", "2", "--occupied", "2", "--wagons"],
+    "--passengers": ["occupancy", "--wagons", "3", "--occupied", "2", "--passengers"],
+    "--occupied": ["occupancy", "--wagons", "3", "--passengers", "2", "--occupied"],
+    "--budget": ["occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--oracle", "--budget"],
+}
+
+
+def usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    return err
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["\u0663", " 1_0 ", "1_0", " 1", "1 ", "1.0", "1e3", "0x10", "+", "", "+-1"],
+    ids=["non-ascii-digit", "spaced-underscore", "underscore", "leading-space", "trailing-space",
+         "decimal", "exponent", "hex", "sign-alone", "empty", "two-signs"],
+)
+def test_integer_options_take_a_sign_and_ascii_digits_only(capsys, value):
+    # int() alone reads the first three as 3, 10 and 10.
+    err = usage_error(capsys, ["tepper", "--n", value])
+    assert err.endswith(f"argument --n: {value!r} is not an integer (a sign and ASCII digits)\n")
+
+
+@pytest.mark.parametrize("option", list(_INTEGER_OPTIONS))
+def test_every_integer_option_has_the_one_converter(capsys, option):
+    err = usage_error(capsys, [*_INTEGER_OPTIONS[option], "\u0663"])
+    assert err.endswith(f"argument {option}: '\u0663' is not an integer (a sign and ASCII digits)\n")
+
+
+def test_integer_option_past_the_digit_limit_is_quoted_by_a_prefix_and_its_length(capsys):
+    # argparse would echo all 5000 digits of a value int() cannot convert.
+    err = usage_error(capsys, ["tepper", "--n", "1" * 5000])
+    assert err.endswith("argument --n: '11111111111111111111'... (5000 characters) exceeds the int/str digit limit\n")
+    assert len(err) < 400
+
+
+def test_rejected_values_are_quoted_whole_up_to_40_characters():
+    assert cli._quoted("x" * 40) == repr("x" * 40)
+    assert cli._quoted("x" * 41) == f"{'x' * 20!r}... (41 characters)"
+
+
+def test_integer_options_keep_their_lower_bounds(capsys):
+    assert usage_error(capsys, ["tepper", "--n", "-1"]).endswith("argument --n: must be >= 0\n")
+    assert usage_error(capsys, ["conjecture", "--poly", "x", "--l", "0"]).endswith("argument --l: must be >= 1\n")
+    err = usage_error(capsys, [*_INTEGER_OPTIONS["--budget"], "+0"])
+    assert err.endswith("argument --budget: must be >= 1\n")
+
+
+def test_integer_options_take_a_sign_and_leading_zeros(capsys):
+    code, out, err = run_cli(capsys, "tepper", "--n", "+003")
+    assert (code, out, err) == (0, "PASS tepper n=3 mode=symbolic x=ignored computed=6 claimed=6\n", "")
+    sweeps = [run_cli(capsys, *_INTEGER_OPTIONS["--seed"], seed) for seed in ("-7", "-07")]
+    assert sweeps[0] == sweeps[1] and sweeps[0][0] == 0

@@ -1,5 +1,6 @@
-"""Verifier reports: exact claims, witnesses, input-error discipline."""
+"""Verifier reports: exact claims and witnesses; every refused input raises InputError."""
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -40,6 +41,9 @@ from tepperlab.identities import (
     verify_wilson_upto,
 )
 
+_NO_LEADING = "zero polynomial has no degree or leading coefficient"
+_FLOAT = "float 1.5 is not an exact rational; pass int, Fraction, or 'num/den'"
+
 
 def expand_shifted(coeffs, c):
     """Coefficients of P(x - c) by direct binomial expansion (independent oracle)."""
@@ -63,7 +67,7 @@ def oracle_alternating_sum(p: Polynomial, order: int, step: int) -> Polynomial:
 
 def test_tepper_numeric_third_row_instance():
     report = verify_tepper(3, 5, NUMERIC)
-    assert report.status == "pass"
+    assert report.passed
     assert report.computed == 6
     assert report.witness is None
     assert report.parameters == "n=3 x=5"
@@ -99,11 +103,8 @@ def test_lemma_quadratic_below_cubic():
 
 
 def test_lemma_degree_violation_is_input_error():
-    report = verify_lemma(Polynomial.monomial(3), 3)
-    assert report.is_input_error
-    assert report.status == "input-error"
-    assert not report.passed
-    assert "degree not less than n" in report.error
+    with pytest.raises(InputError, match=r"^degree not less than n \(deg P = 3, n = 3\)$"):
+        verify_lemma(Polynomial.monomial(3), 3)
 
 
 def test_lemma_accepts_zero_polynomial():
@@ -124,8 +125,8 @@ def test_generalized_examples():
 
 
 def test_generalized_rejects_zero_polynomial():
-    report = verify_generalized(Polynomial.zero())
-    assert report.is_input_error
+    with pytest.raises(InputError, match=rf"^{_NO_LEADING}$"):
+        verify_generalized(Polynomial.zero())
 
 
 def test_conjecture_examples():
@@ -138,8 +139,43 @@ def test_conjecture_examples():
 
 
 def test_conjecture_rejects_bad_inputs():
-    assert verify_conjecture(Polynomial.monomial(2), 0).is_input_error
-    assert verify_conjecture(Polynomial.zero(), 2).is_input_error
+    with pytest.raises(InputError, match=r"^step l must be >= 1$"):
+        verify_conjecture(Polynomial.monomial(2), 0)
+    with pytest.raises(InputError, match=rf"^{_NO_LEADING}$"):
+        verify_conjecture(Polynomial.zero(), 2)
+
+
+@pytest.mark.parametrize(
+    "verify, args, message",
+    [
+        (verify_tepper, (-1,), "n must be >= 0"),
+        (verify_tepper, (2, 0, "approximate"), "mode must be 'numeric' or 'symbolic', not 'approximate'"),
+        (verify_tepper, (2, 1.5), _FLOAT),
+        # Each builder checks in a fixed order: tepper and expansion n before the point,
+        # lemma the point before n, conjecture l before P.
+        (verify_tepper, (-1, 1.5), "n must be >= 0"),
+        (verify_lemma, (Polynomial.monomial(1), -1, 1.5), _FLOAT),
+        (verify_lemma, (Polynomial.monomial(1), -1), "n must be >= 0"),
+        (verify_lemma, (Polynomial.monomial(3), 3), "degree not less than n (deg P = 3, n = 3)"),
+        (verify_generalized, (Polynomial.zero(),), _NO_LEADING),
+        (verify_generalized, (Polynomial.monomial(1), 1.5), _FLOAT),
+        (verify_conjecture, (Polynomial.monomial(2), 0), "step l must be >= 1"),
+        (verify_conjecture, (Polynomial.zero(), 0), "step l must be >= 1"),
+        (verify_conjecture, (Polynomial.zero(), 2), _NO_LEADING),
+        (verify_via_expansion, (-1,), "n must be >= 0"),
+        (verify_via_expansion, (-1, 1.5), "n must be >= 0"),
+        (verify_via_expansion, (2, 1.5), _FLOAT),
+        (classify_power_sum, (3, 0), "alternating_power_sum requires p >= 1"),
+        (classify_power_sum, (-1, 2), "alternating_power_sum requires n >= 0"),
+        (verify_wilson, (1,), "p must be >= 2"),
+        (verify_wilson, (7, "other"), "route must be one of naive, tepper, fermat, not 'other'"),
+        (verify_wilson_upto, (1,), "N = 1 checks nothing; the range 2..N needs N >= 2"),
+        (sweep_conjecture, (-1, 1, 1, 0), "sweep bounds must be >= 0"),
+    ],
+)
+def test_every_builder_refuses_input_by_raising(verify, args, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        verify(*args)
 
 
 def test_invalid_mode_raises():
@@ -189,14 +225,14 @@ def test_modes_agree(p, step, x):
 @settings(max_examples=40, deadline=None)
 @given(polynomials(max_degree=5), st.integers(0, 6), rationals())
 def test_modes_agree_on_every_verifier(p, n, x):
-    pairs = [
-        (verify_tepper(n, x, NUMERIC), verify_tepper(n, x, SYMBOLIC)),
-        (verify_lemma(p, n, x, NUMERIC), verify_lemma(p, n, x, SYMBOLIC)),
-        (verify_generalized(p, x, NUMERIC), verify_generalized(p, x, SYMBOLIC)),
-    ]
-    for numeric, symbolic in pairs:
-        assert numeric.passed == symbolic.passed
-        assert numeric.is_input_error == symbolic.is_input_error
+    def outcome(verify, *args):
+        try:
+            return verify(*args).passed
+        except InputError as exc:
+            return str(exc)
+
+    for verify, args in [(verify_tepper, (n, x)), (verify_lemma, (p, n, x)), (verify_generalized, (p, x))]:
+        assert outcome(verify, *args, NUMERIC) == outcome(verify, *args, SYMBOLIC)
 
 
 def test_x_independence_of_tepper():
@@ -294,7 +330,7 @@ def test_wilson_upto_reports_match_the_cli_rows():
         ("wilson", "n=4 route=naive_factorial residue=2", "composite", "composite", True),
         ("wilson", "n=5 route=naive_factorial residue=4", "prime", "prime", True),
     ]
-    assert all(r.witness is None and r.error is None for r in reports)
+    assert all(r.witness is None for r in reports)
     with pytest.raises(InputError, match=r"^N = 1 checks nothing; the range 2\.\.N needs N >= 2$"):
         verify_wilson_upto(1)
     with pytest.raises(InputError, match=r"^N = 1415 \(1000405 loop steps\) exceeds the input limit 1000000$"):
@@ -360,7 +396,6 @@ def test_symbolic_sum_matches_independent_expansion(p, step):
 _LINEAR_QUADRATIC = Polynomial((1, 3, 1))  # x^2 + 3x + 1
 _QUADRATIC = Polynomial((9, -1, 5))  # 5x^2 - x + 9
 _CUBIC = Polynomial((0, -1, 0, 2))  # 2x^3 - x
-_NO_LEADING = "zero polynomial has no degree or leading coefficient"
 
 
 @pytest.mark.parametrize("mode", [SYMBOLIC, NUMERIC])
@@ -385,11 +420,12 @@ _NO_LEADING = "zero polynomial has no degree or leading coefficient"
     ],
 )
 def test_exact_parameter_strings(verify, args, base, error, mode):
-    report = verify(*args, Fraction(-3, 2), mode)
-    assert report.error == error
     if error is not None:
-        assert report.parameters == base
-    elif mode == SYMBOLIC:
+        with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
+            verify(*args, Fraction(-3, 2), mode)
+        return
+    report = verify(*args, Fraction(-3, 2), mode)
+    if mode == SYMBOLIC:
         assert report.parameters == base + " mode=symbolic x=ignored"
     else:
         assert report.parameters == base + " x=-3/2"

@@ -1,12 +1,17 @@
-"""Smoke tests: the demo, campaign and benchmark scripts run to completion and pass."""
+"""Smoke tests: the demo, campaign and benchmark scripts run to completion and pass,
+and ``python -m tepperlab.cli`` gives what ``cli.main`` gives in-process."""
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from tepperlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,6 +21,32 @@ def run_script(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["tepper", "--n", "3", "--x", "5"], 0),
+        (["sweep", "--max-degree", "2", "--max-step", "2", "--trials", "1", "--format", "json"], 0),
+        (["wilson", "--p", "9", "--route", "naive"], 1),
+        (["lemma", "--poly", "x^3", "--n", "3"], 2),
+        (["frobnicate"], 2),
+        (["occupancy", "--wagons", "10", "--passengers", "9", "--occupied", "5", "--oracle", "--budget", "1000"], 3),
+    ],
+    ids=["exit-0-text", "exit-0-json", "exit-1", "exit-2-input-error", "exit-2-usage", "exit-3-budget"],
+)
+def test_the_module_run_as_a_process_matches_main(monkeypatch, argv, expected):
+    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)  # run_script copies os.environ
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage error: its text may vary, so compare the exit code only
+            code, out, err = exc.code, None, None
+    process = run_script("-m", "tepperlab.cli", *argv)
+    assert process.returncode == code == expected
+    if out is not None:
+        assert (process.stdout, process.stderr) == (out.getvalue(), err.getvalue())
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
