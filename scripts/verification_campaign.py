@@ -4,7 +4,8 @@
 Runs the symbolic sweeps, the dual-path cross-check, the occupancy oracle
 grid, and the modular-route agreement at configurable bounds, then prints
 one summary line per family on stdout and its wall time on stderr.  Exits 1
-if anything fails.
+if anything fails.  The integer options go through the ``tepperlab`` CLI's
+converters, so a malformed or out-of-range value exits 2.
 
 Usage: python scripts/verification_campaign.py [--max-degree 12] [--max-step 8]
        [--trials 10] [--seed 0] [--prime-bound 200] [--occupancy-bound 6]
@@ -23,6 +24,7 @@ from tepperlab import (
     numtheory,
     sweep_conjecture,
 )
+from tepperlab.cli import _integer, _nonnegative, _positive
 
 
 def banner(label: str, passed: int, total: int, elapsed: float) -> bool:
@@ -35,12 +37,12 @@ def banner(label: str, passed: int, total: int, elapsed: float) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-degree", type=int, default=12)
-    parser.add_argument("--max-step", type=int, default=8)
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--prime-bound", type=int, default=200)
-    parser.add_argument("--occupancy-bound", type=int, default=6)
+    parser.add_argument("--max-degree", type=_nonnegative, default=12)
+    parser.add_argument("--max-step", type=_positive, default=8)
+    parser.add_argument("--trials", type=_nonnegative, default=10)
+    parser.add_argument("--seed", type=_integer, default=0)
+    parser.add_argument("--prime-bound", type=_nonnegative, default=200)
+    parser.add_argument("--occupancy-bound", type=_nonnegative, default=6)
     args = parser.parse_args()
 
     all_ok = True

@@ -138,9 +138,9 @@ def _default_budget() -> int:
     if raw is None:
         return occupancy.DEFAULT_ENUMERATION_BUDGET
     try:
-        budget = int(raw)
-    except ValueError:
-        raise InputError(f"{BUDGET_ENV_VAR} must be an integer, not {raw!r}")
+        budget = _integer(raw)
+    except argparse.ArgumentTypeError:
+        raise InputError(f"{BUDGET_ENV_VAR} must be an integer, not {raw!r}") from None
     if budget < 1:
         raise InputError(f"{BUDGET_ENV_VAR} must be >= 1, not {budget}")
     return budget

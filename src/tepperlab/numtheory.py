@@ -3,7 +3,8 @@ three routes, Fermat checks, and a Wilson primality test.
 
 The three routes to (p-1)! mod p:
 
-* ``naive_factorial``: iterated modular product, the baseline;
+* ``naive_factorial``: iterated modular product, the baseline, which stops
+  once the product reaches 0;
 * ``tepper_sum``: sum of (-1)^k C(p-1,k) k^(p-1), reduced mod p.
   Each power is taken as ``pow(k, p-1, p)``, plain modular exponentiation
   that holds for any modulus, so no Fermat step is used.  The binomials
@@ -77,7 +78,12 @@ def mod_pow(base: int, exponent: int, modulus: int) -> int:
 
 
 def factorial_mod_naive(n: int, modulus: int) -> int:
-    """n! mod modulus by iterated modular product."""
+    """n! mod modulus by iterated modular product.
+
+    The loop stops once the product is 0 mod modulus, since every later
+    product is 0 too; for most composite moduli that happens long before
+    k = n, while a prime modulus pays one extra test per step.
+    """
     if modulus < 2:
         raise InputError("modulus must be >= 2")
     if n < 0:
@@ -85,6 +91,8 @@ def factorial_mod_naive(n: int, modulus: int) -> int:
     result = 1 % modulus
     for k in range(2, n + 1):
         result = result * k % modulus
+        if not result:
+            break
     return result
 
 

@@ -9,13 +9,16 @@ with the 0^0 = 1 convention so that degenerate parameters (p = 0 or r = 0)
 stay well defined.  ``brute_force_occupancy`` is the independent oracle: it
 enumerates all n^p assignments and counts image sizes directly, guarded by
 an enumeration budget.  It splits the passengers into a head of p // 2,
-whose n^(p//2) image masks it tabulates, and a tail it loops over, so each
-assignment's mask and comparison with r run in C at a memory cost of
-n^(p//2) masks.
+whose n^(p//2) image masks it tabulates, and a tail it loops over.  For
+each tail one ``operator.countOf`` pipeline ORs the tail mask into every
+head mask, takes each bit count and counts those equal to r, so every
+assignment's mask and comparison run in C at a memory cost of n^(p//2)
+masks.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -62,10 +65,13 @@ def brute_force_occupancy(
     """The same count by exhaustive enumeration of all n^p assignments.
 
     The first p // 2 passengers form a head table of n^(p//2) image masks,
-    one per head assignment; for each assignment of the other passengers
-    the tail's mask is OR-ed with every head mask and each result's bit
-    count compared with r.  Every assignment gets its own mask, nothing is
-    merged, and the extra memory is n^(p//2) masks (one entry when p = 1).
+    one per head assignment.  For each assignment of the other passengers,
+    a lazy map ORs the tail's mask (``itertools.repeat``) into every head
+    mask and takes each bit count, and ``operator.countOf`` counts those
+    equal to r.  Every assignment gets its
+    own mask, bit count and comparison, nothing is merged or cached, and
+    the extra memory is n^(p//2) masks (one entry when p = 1): no list is
+    built per tail.
 
     Raises BudgetExceededError when n^p, or n^p * ceil(n/4096) for masks
     wider than 4096 bits, exceeds ``budget``; callers record the oracle as
@@ -96,7 +102,8 @@ def brute_force_occupancy(
         mask = 0
         for wagon in tail:
             mask |= 1 << wagon
-        count += sum(map(r.__eq__, map(int.bit_count, map(mask.__or__, heads))))
+        masks = map(operator.or_, itertools.repeat(mask, len(heads)), heads)
+        count += operator.countOf(map(int.bit_count, masks), r)
     return count
 
 

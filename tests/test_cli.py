@@ -99,6 +99,17 @@ def test_budget_env_must_be_integer(capsys, monkeypatch):
         capsys, "occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--oracle"
     )
     assert code == 2
+    assert err == f"INPUT-ERROR {cli.BUDGET_ENV_VAR} must be an integer, not 'lots'\n"
+
+
+@pytest.mark.parametrize("raw", ["٣", " 1_0 "], ids=["arabic-indic-digit", "spaces-underscore"])
+def test_budget_env_takes_a_sign_and_ascii_digits_only(capsys, monkeypatch, raw):
+    # int() alone reads "٣" as 3 and " 1_0 " as 10; --budget refuses both, and so does the variable.
+    monkeypatch.setenv(cli.BUDGET_ENV_VAR, raw)
+    code, out, err = run_cli(
+        capsys, "occupancy", "--wagons", "2", "--passengers", "2", "--occupied", "2", "--oracle"
+    )
+    assert (code, out, err) == (2, "", f"INPUT-ERROR {cli.BUDGET_ENV_VAR} must be an integer, not {raw!r}\n")
 
 
 def test_budget_env_is_read_only_when_the_oracle_runs(capsys, monkeypatch):

@@ -45,6 +45,18 @@ def test_factorial_mod_naive_examples():
     assert factorial_mod_naive(6, 7) == 6
 
 
+def test_factorial_mod_naive_matches_the_exact_factorial():
+    # The loop stops once the product is 0 mod m; a product that is merely
+    # small must not stop it.  The grid holds products that reach 0 early
+    # (m = 6 at k = 3), one that is nonzero at k = 3 and 0 at k = 4 (m = 4,
+    # 3! = 6 = 2 mod 4), prime moduli, and one that passes through 1 (m = 5,
+    # 3! = 6 = 1 mod 5).
+    assert (factorial(3) % 4, factorial(4) % 4, factorial(3) % 5, factorial(5) % 6) == (2, 0, 1, 0)
+    for m in range(2, 61):
+        for n in range(41):
+            assert factorial_mod_naive(n, m) == math.factorial(n) % m, (n, m)
+
+
 def test_tepper_route_examples():
     for p, residue in ((5, 4), (3, 2), (2, 1)):
         check = factorial_mod_tepper(p)

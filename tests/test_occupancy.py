@@ -150,6 +150,13 @@ def test_oracle_matches_in_test_enumeration_for_odd_and_even_p(p):
             assert brute_force_occupancy(OccupancyParams(n, p, r)) == count_by_enumeration(n, p, r)
 
 
+@pytest.mark.parametrize("r", range(8))
+def test_oracle_matches_the_closed_form_at_the_benchmarks_largest_size(r):
+    # 7^7 = 823543 assignments, the largest oracle call of the modular_counting workload.
+    params = OccupancyParams(7, 7, r)
+    assert brute_force_occupancy(params) == exact_occupancy_count(params)
+
+
 def _oracle_peak_bytes(params):
     tracemalloc.start()
     try:

@@ -82,6 +82,22 @@ def test_verification_campaign_stdout_is_deterministic():
     assert all(re.fullmatch(r"PASS [a-z -]+: (\d+)/\1", line) for line in lines), runs[0].stdout
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trials", "٣"], "argument --trials: '٣' is not an integer (a sign and ASCII digits)"),
+        (["--seed", " 1_0 "], "argument --seed: ' 1_0 ' is not an integer (a sign and ASCII digits)"),
+        (["--occupancy-bound", "-1"], "argument --occupancy-bound: must be >= 0"),
+        (["--max-step", "0"], "argument --max-step: must be >= 1"),
+    ],
+)
+def test_verification_campaign_integer_options_use_the_cli_converters(argv, message):
+    # Bare int() would read "٣" as 3, and --max-step 0 would fail in randint with a traceback.
+    result = run_script("scripts/verification_campaign.py", *argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith(f"error: {message}\n"), result.stderr
+
+
 @pytest.mark.parametrize("workload", ["symbolic_highdeg", "cli_mix", "modular_counting"])
 def test_benchmark_traced_run_records_every_required_layer(workload):
     # The traced run fails when a layer the workload must exercise records no
