@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import starmap, zip_longest
 from math import gcd, lcm
+from operator import add, sub
 from typing import Union
 
 from .errors import InputError
@@ -31,7 +32,9 @@ Scalar = Union[int, str, Fraction]
 
 
 def as_fraction(value: Scalar) -> Fraction:
-    """Coerce to Fraction, rejecting floats (exactness is a hard contract)."""
+    """Coerce to Fraction, rejecting floats (exactness is a hard contract); a Fraction comes back as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not an exact rational; pass int, Fraction, or 'num/den'")
     return Fraction(value)
@@ -86,7 +89,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return cls._from_integers((), 1)
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
@@ -149,12 +152,12 @@ class Polynomial:
         stands.  Any other offset t is the unit shift conjugated by a
         dilation: P(x - t) = S(x/t - 1) with S = P.dilate(t).
         """
-        t = as_fraction(offset)
+        t = offset if type(offset) is int else as_fraction(offset)
         n = self.degree
         if n < 1 or t == 0:  # P(x - 0) = P, and zero and constants ignore any shift
             return self
         if t != 1:
-            return self.dilate(t).shift(1).dilate(1 / t)
+            return self.dilate(t).shift(1).dilate(Fraction(1, t))
         coeffs = list(self._numerators)
         for i in range(n):
             carry = coeffs[n]
@@ -178,16 +181,26 @@ class Polynomial:
         )
 
     def scale(self, factor: Scalar) -> "Polynomial":
+        """factor * P.  An integer w reduces by one gcd: since gcd(m_0, ..., m_n, d)
+        = 1, gcd(w*m_0, ..., w*m_n, d) = gcd(w, d)."""
+        if type(factor) is int:
+            if not factor:
+                return Polynomial.zero()
+            g = gcd(factor, self._denominator)
+            w = factor // g
+            return Polynomial._from_integers(tuple(m * w for m in self._numerators), self._denominator // g)
         f = as_fraction(factor)
         p, q = f.numerator, f.denominator
         return Polynomial._reduced([m * p for m in self._numerators], self._denominator * q)
 
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other over the lcm of the two denominators."""
+        """self + sign * other over the lcm of the two denominators; a side already over it is not rescaled."""
         d = lcm(self._denominator, other._denominator)
-        f, g = d // self._denominator, sign * (d // other._denominator)
-        pairs = zip_longest(self._numerators, other._numerators, fillvalue=0)
-        return Polynomial._reduced([f * m + g * k for m, k in pairs], d)
+        f, g = d // self._denominator, d // other._denominator
+        left = self._numerators if f == 1 else [f * m for m in self._numerators]
+        right = other._numerators if g == 1 else [g * k for k in other._numerators]
+        pairs = zip_longest(left, right, fillvalue=0)
+        return Polynomial._reduced(list(starmap(add if sign > 0 else sub, pairs)), d)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._combine(other, 1)

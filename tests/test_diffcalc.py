@@ -1,6 +1,7 @@
 """Backward differences vs. direct alternating sums: the dual-route oracle."""
 import math
 from fractions import Fraction
+from math import isqrt
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +16,7 @@ from tepperlab import (
     alternating_sum_symbolic,
     backward_difference,
     binomial,
+    diffcalc,
     iterated_difference,
 )
 
@@ -206,3 +208,52 @@ def test_backward_difference_at_steps_two_to_six_equals_fraction_reference():
         for step in range(2, 7):
             q = backward_difference(p, step)
             assert q.coefficients == reference_backward_difference(p.coefficients, step), (p, step)
+
+
+# Polynomials for the block structure: degree 40 with fractional coefficients,
+# so that every order 0..40 falls below, at or above the degree, and lower
+# degrees whose orders past the degree must vanish.
+BLOCK_POLYS = (
+    Polynomial(tuple(Fraction((-1) ** i * (i + 2), i % 7 + 1) for i in range(41))),
+    Polynomial(tuple(Fraction(3 * i - 20, i % 4 + 2) for i in range(25))),
+    Polynomial.monomial(16, Fraction(-5, 3)),
+)
+
+
+@pytest.mark.parametrize("step", range(1, 7))
+def test_blocked_sum_equals_term_by_term_reference_and_iterated_route(step):
+    # Orders 0..40 hold one block below the crossover, n + 1 a perfect square
+    # (15, 24, 35), a last block of one term (n + 1 = m^2 + 1 at 16, 25, 36)
+    # and every other way a last block can end.
+    for p in BLOCK_POLYS:
+        for order in range(41):
+            params = DifferenceParams(order=order, step=step)
+            symbolic = alternating_sum_symbolic(p, params)
+            assert symbolic == reference_symbolic(p, params), (p.degree, order)
+            assert symbolic == iterated_difference(p, params), (p.degree, order)
+
+
+@pytest.mark.parametrize("order", range(41))
+def test_every_block_size_gives_the_same_sum(monkeypatch, order):
+    p, step = BLOCK_POLYS[0], 3
+    expected = iterated_difference(p, DifferenceParams(order=order, step=step))
+    root = isqrt(order + 1)
+    for m in sorted({1, 2, root, root + 1, max(order, 1), order + 1}):
+        monkeypatch.setattr(diffcalc, "_block_size", lambda _order, m=m: m)
+        assert alternating_sum_symbolic(p, DifferenceParams(order=order, step=step)) == expected, m
+
+
+def test_block_sizes_below_and_past_the_crossover():
+    assert [diffcalc._block_size(n) for n in range(diffcalc._BLOCK_CROSSOVER)] == list(
+        range(1, diffcalc._BLOCK_CROSSOVER + 1)
+    )
+    assert diffcalc._block_size(15) == 4 and diffcalc._block_size(16) == 4 and diffcalc._block_size(120) == 11
+
+
+@pytest.mark.parametrize("degree", [120, 130])
+def test_blocked_sum_at_high_degree_is_leading_coefficient_times_step_power_factorial(degree):
+    p = Polynomial(tuple(Fraction((-1) ** i * (i * i + 1), i % 9 + 1) for i in range(degree + 1)))
+    expected = p.leading_coefficient * 3**degree * math.factorial(degree)
+    assert alternating_sum_symbolic(p, DifferenceParams(order=degree, step=3)) == Polynomial.constant(expected)
+    below = DifferenceParams(order=degree - 1, step=3)
+    assert alternating_sum_symbolic(p, below) == iterated_difference(p, below)

@@ -10,6 +10,7 @@ from hypothesis import given
 
 from strategies import polynomials, rationals
 from tepperlab import InputError, Polynomial
+from tepperlab.poly import as_fraction
 
 X_CUBED = Polynomial.monomial(3)
 
@@ -225,6 +226,52 @@ def test_scale_equals_fraction_reference(p, factor):
     q = p.scale(factor)
     assert q.coefficients == reference_scale(p.coefficients, factor)
     assert_canonical_coefficients(q)
+
+
+def assert_canonical_integers(p):
+    """The stored form m_i / d: d > 0, gcd(m_0, ..., m_n, d) = 1 and m_n != 0."""
+    assert p._denominator > 0
+    assert gcd(p._denominator, *p._numerators) == 1
+    assert not p._numerators or p._numerators[-1] != 0
+
+
+def integer_factors(denominator):
+    """Integer scale factors that meet d in every way: 0, +-1, +-d, the divisors of d,
+    multiples of d and values of 100 digits."""
+    divisors = [k for k in range(2, denominator) if denominator % k == 0] or [1]
+    hundred_digits = st.integers(10**99, 10**100 - 1)
+    magnitudes = st.one_of(
+        st.sampled_from([0, 1, denominator]),
+        st.sampled_from(divisors),
+        hundred_digits,
+        hundred_digits.map(lambda w: w * denominator),
+        st.integers(1, 10**6),
+    )
+    return st.tuples(magnitudes, st.sampled_from([1, -1])).map(lambda pair: pair[0] * pair[1])
+
+
+@given(small_polynomials, st.data())
+def test_scale_by_an_integer_reduces_by_one_gcd_to_canonical_form(p, data):
+    w = data.draw(integer_factors(p._denominator))
+    q = p.scale(w)
+    assert q.coefficients == reference_scale(p.coefficients, w)
+    assert_canonical_integers(q)
+    assert_canonical_coefficients(q)
+    assert q == Polynomial(q.coefficients)
+
+
+def test_scale_by_an_integer_divides_out_the_common_factor():
+    p = Polynomial((Fraction(1, 6), Fraction(5, 4)))  # (2 + 15x) / 12
+    assert p.scale(6) == Polynomial((1, Fraction(15, 2)))
+    assert (p.scale(6)._numerators, p.scale(6)._denominator) == ((2, 15), 2)
+    assert (p.scale(-12)._numerators, p.scale(-12)._denominator) == ((-2, -15), 1)
+    assert p.scale(0) == Polynomial.zero()
+
+
+def test_as_fraction_returns_a_fraction_as_it_is():
+    f = Fraction(-22, 7)
+    assert as_fraction(f) is f
+    assert as_fraction(3) == Fraction(3) and type(as_fraction(3)) is Fraction
 
 
 @given(small_polynomials, small_polynomials)
