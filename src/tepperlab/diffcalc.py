@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InputError
 from .exact import alternating_binomials
@@ -95,11 +95,16 @@ def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scal
     """The same alternating sum evaluated pointwise, term by term.
 
     Independent of the symbolic route: each term is P evaluated at
-    point - l*k, not a coefficient of a shifted polynomial.
+    point - l*k by Horner's scheme, not a coefficient of a shifted
+    polynomial.  The weighted values are summed as integers over the lcm of
+    their denominators, so one ``Fraction`` is reduced at the end, not one
+    per product and per partial sum.
     """
     x = as_fraction(point)
     weights = alternating_binomials(params.order)
-    return sum((w * p.evaluate(x - params.step * k) for k, w in enumerate(weights)), Fraction(0))
+    values = [p.evaluate(x - params.step * k) for k in range(len(weights))]
+    d = lcm(*(v.denominator for v in values))
+    return Fraction(sum(w * v.numerator * (d // v.denominator) for w, v in zip(weights, values)), d)
 
 
 def iterated_difference(p: Polynomial, params: DifferenceParams) -> Polynomial:

@@ -151,6 +151,18 @@ def reference_iterated(p, params):
     return p
 
 
+def reference_numeric(p, params, point):
+    """The sum Fraction by Fraction: each value by Horner over the reduced coefficients,
+    one product with its weight and one addition per term."""
+    total = Fraction(0)
+    for k in range(params.order + 1):
+        x, value = Fraction(point) - params.step * k, Fraction(0)
+        for c in reversed(p.coefficients):
+            value = value * x + c
+        total += (-1) ** k * binomial(params.order, k) * value
+    return total
+
+
 def _orders_around(p):
     """Orders below, at and above the degree (only 0 and above for zero)."""
     degree = max(p.degree, 0)
@@ -164,6 +176,26 @@ def test_routes_equal_reference_algorithms(p, step):
         params = DifferenceParams(order=order, step=step)
         assert alternating_sum_symbolic(p, params) == reference_symbolic(p, params)
         assert iterated_difference(p, params) == reference_iterated(p, params)
+
+
+def test_numeric_sum_equals_the_fraction_by_fraction_sum():
+    """Orders 0..12 at steps 1..6, on zero, a constant, a polynomial below most
+    orders and one at order 12, at points whose denominators run 1..9 with either sign."""
+    polys = (
+        Polynomial.zero(),
+        Polynomial.constant(Fraction(-7, 3)),
+        Polynomial((Fraction(1, 2), Fraction(-5, 6), 0, Fraction(7, 4))),
+        Polynomial(tuple(Fraction((-1) ** i * (3 * i + 1), 1 + i % 5) for i in range(13))),
+    )
+    points = [Fraction(sign * (3 * v + 1), v) for v in range(1, 10) for sign in (1, -1)] + [Fraction(0)]
+    for p in polys:
+        for order in range(13):
+            for step in range(1, 7):
+                params = DifferenceParams(order=order, step=step)
+                for x in points:
+                    value = alternating_sum_numeric(p, params, x)
+                    assert value == reference_numeric(p, params, x)
+                    assert type(value) is Fraction
 
 
 def test_routes_on_zero_constant_and_fractional_polynomials_at_every_step():
