@@ -5,7 +5,8 @@ Runs the symbolic sweeps, the dual-path cross-check, the occupancy oracle
 grid, and the modular-route agreement at configurable bounds, then prints
 one summary line per family on stdout and its wall time on stderr.  Exits 1
 if anything fails.  The integer options go through the ``tepperlab`` CLI's
-converters, so a malformed or out-of-range value exits 2.
+converters, so a malformed or out-of-range value exits 2; so does a bound
+that leaves a block with nothing to check (``--trials 0``, ``--prime-bound 1``).
 
 Usage: python scripts/verification_campaign.py [--max-degree 12] [--max-step 8]
        [--trials 10] [--seed 0] [--prime-bound 200] [--occupancy-bound 6]
@@ -27,6 +28,10 @@ from tepperlab import (
 from tepperlab.cli import _integer, _nonnegative, _positive
 
 
+def _at_least_two(text: str) -> int:
+    return _integer(text, 2)
+
+
 def banner(label: str, passed: int, total: int, elapsed: float) -> bool:
     # Timings go to stderr so that stdout is identical for identical configurations.
     ok = passed == total
@@ -39,9 +44,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-degree", type=_nonnegative, default=12)
     parser.add_argument("--max-step", type=_positive, default=8)
-    parser.add_argument("--trials", type=_nonnegative, default=10)
+    parser.add_argument("--trials", type=_positive, default=10)
     parser.add_argument("--seed", type=_integer, default=0)
-    parser.add_argument("--prime-bound", type=_nonnegative, default=200)
+    parser.add_argument("--prime-bound", type=_at_least_two, default=200)
     parser.add_argument("--occupancy-bound", type=_nonnegative, default=6)
     args = parser.parse_args()
 

@@ -2,7 +2,8 @@
 power-sum classifier, and the Wilson routes, with text or JSON output.
 
 Exit codes: 0 when every emitted report passed, 1 when some check failed,
-2 on input or usage errors, 3 when an enumeration budget was exhausted,
+2 on input or usage errors, 3 when the work is priced beyond the budget
+(``--budget``, else ``$TEPPERLAB_BUDGET``, else ``errors.DEFAULT_BUDGET``),
 4 on an internal error (a broken invariant, never the input's fault), with
 an ``INTERNAL-ERROR <type>: <message>`` line on stderr.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import identities, numtheory, occupancy
-from .errors import BudgetExceededError, InputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InputError
 from .identities import IDENTITY_NAMES, IdentityReport
 from .parser import _render_rational, parse_polynomial, render_polynomial
 from .poly import Polynomial
@@ -136,7 +137,7 @@ def _positive(text: str) -> int:
 def _default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
-        return occupancy.DEFAULT_ENUMERATION_BUDGET
+        return DEFAULT_BUDGET
     try:
         budget = _integer(raw)
     except argparse.ArgumentTypeError:
@@ -146,15 +147,15 @@ def _default_budget() -> int:
     return budget
 
 
-def _point(options: argparse.Namespace) -> tuple[Fraction, str]:
-    """The evaluation point (default 0) and the mode.
+def _point(options: argparse.Namespace) -> tuple[Fraction, str, int]:
+    """The evaluation point (default 0), the mode and the budget: every step-sum verifier's last arguments.
 
     Symbolic is the default; an explicit --x without --mode asks for a
     pointwise check, so numeric wins there.
     """
     if options.x is None:
-        return Fraction(0), options.mode or identities.SYMBOLIC
-    return options.x, options.mode or identities.NUMERIC
+        return Fraction(0), options.mode or identities.SYMBOLIC, options.budget
+    return options.x, options.mode or identities.NUMERIC, options.budget
 
 
 def _cmd_tepper(options: argparse.Namespace) -> list[ReportRow]:
@@ -174,29 +175,23 @@ def _cmd_conjecture(options: argparse.Namespace) -> list[ReportRow]:
 
 
 def _cmd_expansion(options: argparse.Namespace) -> list[ReportRow]:
-    return [ReportRow(identities.verify_via_expansion(options.n, options.x))]
+    return [ReportRow(identities.verify_via_expansion(options.n, options.x, options.budget))]
 
 
 def _cmd_sweep(options: argparse.Namespace) -> list[ReportRow]:
-    reports = identities.sweep_conjecture(options.max_degree, options.max_step, options.trials, options.seed)
-    return [ReportRow(r) for r in reports]
+    args = options.max_degree, options.max_step, options.trials, options.seed, options.budget
+    return [ReportRow(r) for r in identities.sweep_conjecture(*args)]
 
 
 def _cmd_powersum(options: argparse.Namespace) -> list[ReportRow]:
-    return [ReportRow(identities.classify_power_sum(options.n, options.p))]
+    return [ReportRow(identities.classify_power_sum(options.n, options.p, options.budget))]
 
 
 def _cmd_occupancy(options: argparse.Namespace) -> list[ReportRow]:
     params = occupancy.OccupancyParams(options.wagons, options.passengers, options.occupied)
-    if options.oracle:
-        budget = options.budget if options.budget is not None else _default_budget()
-        report = identities.verify_occupancy(params, with_oracle=True, budget=budget)
-        oracle = f"{_render_value(report.computed)} {'agrees' if report.passed else 'disagrees'}"
-    elif options.budget is not None:
-        raise InputError("occupancy --budget applies only with --oracle")
-    else:
-        report = identities.verify_occupancy(params)
-        oracle = "skipped unchecked"
+    report = identities.verify_occupancy(params, with_oracle=options.oracle, budget=options.budget)
+    verdict = "agrees" if report.passed else "disagrees"
+    oracle = f"{_render_value(report.computed)} {verdict}" if options.oracle else "skipped unchecked"
     return [ReportRow(report, f"closed_form={_render_value(report.claimed)} oracle={oracle}")]
 
 
@@ -204,10 +199,10 @@ def _cmd_wilson(options: argparse.Namespace) -> list[ReportRow]:
     if (options.p is None) == (options.upto is None):
         raise InputError("wilson requires exactly one of --p or --upto")
     if options.upto is None:
-        return [ReportRow(identities.verify_wilson(options.p, options.route or "naive"))]
+        return [ReportRow(identities.verify_wilson(options.p, options.route or "naive", options.budget))]
     if options.route is not None:
         raise InputError("wilson --route applies only with --p, not with --upto")
-    return [ReportRow(r) for r in identities.verify_wilson_upto(options.upto)]
+    return [ReportRow(r) for r in identities.verify_wilson_upto(options.upto, options.budget)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=(TEXT, JSON), default=TEXT, help="output format")
+    common.add_argument("--budget", type=_positive, help=f"work units (default {DEFAULT_BUDGET}, or ${BUDGET_ENV_VAR})")
 
     mode_parent = argparse.ArgumentParser(add_help=False)
     mode_parent.add_argument(
@@ -265,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_occ.add_argument("--passengers", type=_nonnegative, required=True)
     p_occ.add_argument("--occupied", type=_nonnegative, required=True)
     p_occ.add_argument("--oracle", action="store_true", help="cross-check by exhaustive enumeration")
-    p_occ.add_argument(
-        "--budget",
-        type=_positive,
-        default=None,
-        help=f"enumeration budget (default {occupancy.DEFAULT_ENUMERATION_BUDGET}, or ${BUDGET_ENV_VAR})",
-    )
 
     p_pow = command("powersum", _cmd_powersum, [], "signed binomial power sum with classification")
     p_pow.add_argument("--n", type=_nonnegative, required=True)
@@ -316,6 +306,7 @@ def _attach_signed_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     options = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
+        options.budget = options.budget or _default_budget()
         rows = options.handler(options)
         summary = None
         if options.command == "sweep":

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import InputError
-from .exact import alternating_binomials
+from .exact import alternating_binomials, product_cost, row_cost
 from .poly import Polynomial, Scalar, as_fraction
 
 
@@ -63,6 +63,25 @@ _BLOCK_CROSSOVER = 15  # below this order one block, the plain chain of n shifts
 def _block_size(order: int) -> int:
     """Terms per block of the symbolic sum."""
     return order + 1 if order < _BLOCK_CROSSOVER else isqrt(order + 1)
+
+
+def sum_cost(degree: int, bits: int, params: DifferenceParams, point: Fraction | None = None) -> int:
+    """Budget units for the sum over a polynomial of this degree and numerators of ``bits``, symbolic or at ``point``.
+
+    Both routes build the row and a polynomial or value of 50 units a term.  The symbolic route's 2*sqrt(n) shifts
+    subtract and its terms scale coefficients that gain log2(l*m) bits a degree and the weights' n bits; each of the
+    numeric route's Horner steps multiplies by the point, so the values gain its bits a degree.
+    """
+    n, degree = params.order, max(degree, 0)  # the zero polynomial is priced as a constant
+    d = degree + 1
+    if point is None:
+        m = _block_size(n)
+        size = bits + degree * (params.step.bit_length() + m.bit_length())
+        shifts = (m + n // m) * (d * d // 2) * product_cost(size + n, 16) + d * product_cost(size, size // 2)
+        return row_cost(n) + shifts + (n + 1) * (50 + d * (product_cost(max(size, 64), n) + product_cost(size + n, 16)))
+    x = point.numerator.bit_length() + point.denominator.bit_length() + (params.step * n).bit_length()
+    size = bits + degree * x
+    return row_cost(n) + (n + 1) * (50 + d * product_cost(size, max(x, 64)) + product_cost(size, n))
 
 
 def alternating_sum_symbolic(p: Polynomial, params: DifferenceParams) -> Polynomial:

@@ -32,6 +32,18 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+def product_cost(a_bits: int, b_bits: int) -> int:
+    """Budget units for a product of a- and b-bit integers: a loop step, then schoolbook words up to 4096 bits
+    and Karatsuba's sqrt(b) past them.  A sum is priced as a product by 16 bits, a product by a word by 64."""
+    low, high = sorted((a_bits, b_bits))
+    return 1 + high * min(low, 64 * math.isqrt(low)) // 2**15
+
+
+def row_cost(n: int) -> int:
+    """Budget units for ``pascal_row(n)``: n/2 steps on integers of up to n bits, a unit per 64."""
+    return n * n // 128 + n
+
+
 def pascal_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle: (C(n,0), ..., C(n,n)).
 

@@ -12,6 +12,7 @@ sum pointwise instead and exists to exercise the evaluation path.
 Every builder raises InputError on a violated precondition (wrong degree,
 zero polynomial, step < 1, an unknown mode, a float x), so a report
 always carries a result: misuse can never pass for a falsified theorem.
+Each then prices its work against its ``budget`` once, before it builds anything of size n.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from fractions import Fraction
 from typing import Union
 
 from . import numtheory, occupancy
-from .diffcalc import DifferenceParams, alternating_sum_numeric, alternating_sum_symbolic
-from .errors import InputError
-from .exact import alternating_binomials, factorial
+from .diffcalc import DifferenceParams, alternating_sum_numeric, alternating_sum_symbolic, sum_cost
+from .errors import DEFAULT_BUDGET, InputError, check_budget
+from .exact import alternating_binomials, factorial, product_cost, row_cost
 from .parser import _render_rational, render_polynomial
 from .poly import Polynomial, Scalar, as_fraction
 
@@ -65,7 +66,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _step_sum_report(
-    name: str, parameters: str, p: Polynomial, order: int, step: int, x: Fraction, mode: str
+    name: str, parameters: str, p: Polynomial | None, order: int, step: int, x: Fraction, mode: str, budget: int
 ) -> IdentityReport:
     """The paper's theorem for one instance, symbolically or at x.
 
@@ -73,11 +74,15 @@ def _step_sum_report(
     constant a_order * step^order * order!, where a_order is the x^order
     coefficient of P (zero when deg P < order).  Tepper's identity, the
     vanishing lemma, the generalized identity and the step-l identity are
-    all instances of this one claim.
+    all instances of this one claim.  P = None is x^order, built once priced.
     """
+    params = DifferenceParams(order=order, step=step)
+    degree, bits = (order, 1) if p is None else (p.degree, p.bit_length)
+    cost = sum_cost(degree, bits, params, None if mode == SYMBOLIC else x)
+    check_budget(cost, budget, f"the {mode} sum of order {order} at degree {degree}")
+    p = Polynomial.monomial(order) if p is None else p
     a = p.coefficients[order] if order <= p.degree else Fraction(0)
     claimed = a * step**order * factorial(order)
-    params = DifferenceParams(order=order, step=step)
     if mode == SYMBOLIC:
         s = alternating_sum_symbolic(p, params)
         claimed = Polynomial.constant(claimed)
@@ -86,7 +91,7 @@ def _step_sum_report(
     return IdentityReport(name, f"{parameters} x={_render_rational(x)}", claimed, value, value == claimed)
 
 
-def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
+def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """The alternating sum of C(n,k) (x-k)^n equals n! for every x.
 
     n = 0 is allowed: the sum is the single term (x-0)^0 = 1 = 0!.
@@ -94,10 +99,12 @@ def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport
     _check_mode(mode)
     if n < 0:
         raise InputError("n must be >= 0")
-    return _step_sum_report(TEPPER, f"n={n}", Polynomial.monomial(n), n, 1, as_fraction(x), mode)
+    return _step_sum_report(TEPPER, f"n={n}", None, n, 1, as_fraction(x), mode, budget)
 
 
-def verify_lemma(p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
+def verify_lemma(
+    p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET
+) -> IdentityReport:
     """The order-n alternating sum annihilates any polynomial of degree < n."""
     _check_mode(mode)
     xf = as_fraction(x)
@@ -105,20 +112,24 @@ def verify_lemma(p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC) -> 
         raise InputError("n must be >= 0")
     if not p.degree < n:
         raise InputError(f"degree not less than n (deg P = {p.degree}, n = {n})")
-    return _step_sum_report(LEMMA_VANISHING, f'poly="{render_polynomial(p)}" n={n}', p, n, 1, xf, mode)
+    return _step_sum_report(LEMMA_VANISHING, f'poly="{render_polynomial(p)}" n={n}', p, n, 1, xf, mode, budget)
 
 
-def verify_generalized(p: Polynomial, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
+def verify_generalized(
+    p: Polynomial, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET
+) -> IdentityReport:
     """For deg P = n, the order-n alternating sum is the constant a_n * n!."""
     _check_mode(mode)
     xf = as_fraction(x)
     if p.is_zero():
         raise InputError("zero polynomial has no degree or leading coefficient")
     parameters = f'poly="{render_polynomial(p)}" n={p.degree}'
-    return _step_sum_report(GENERALIZED_TEPPER, parameters, p, p.degree, 1, xf, mode)
+    return _step_sum_report(GENERALIZED_TEPPER, parameters, p, p.degree, 1, xf, mode, budget)
 
 
-def verify_conjecture(p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC) -> IdentityReport:
+def verify_conjecture(
+    p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET
+) -> IdentityReport:
     """With shifts x - l*k the order-n sum is the constant a_n * l^n * n!."""
     _check_mode(mode)
     xf = as_fraction(x)
@@ -127,10 +138,10 @@ def verify_conjecture(p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC
     if p.is_zero():
         raise InputError("zero polynomial has no degree or leading coefficient")
     parameters = f'poly="{render_polynomial(p)}" l={l} n={p.degree}'
-    return _step_sum_report(CONJECTURE_STEP_L, parameters, p, p.degree, l, xf, mode)
+    return _step_sum_report(CONJECTURE_STEP_L, parameters, p, p.degree, l, xf, mode, budget)
 
 
-def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
+def verify_via_expansion(n: int, x: Scalar = 0, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Recompute the order-n sum for P = x^n by exchanging summation order.
 
     Expanding (x-k)^n binomially and swapping sums leaves, against each
@@ -138,11 +149,14 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     inner sums must vanish for 1 <= j <= n and equal n! at j = 0; the
     reconstructed polynomial (witness) is then the constant n!.  The terms
     (-1)^k C(n,k) (-k)^s are kept and multiplied by -k once per power s, so
-    the inner sums cost n(n+1) multiplications, not (n+1)^2 powers.
+    the inner sums cost n(n+1) products by a word, not (n+1)^2 powers.
     """
     if n < 0:
         raise InputError("n must be >= 0")
     xf = as_fraction(x)
+    size = n + n * n.bit_length() // 2  # the terms grow by log2(n) bits a round
+    cost = row_cost(n) + n * (n + 1) * (product_cost(size, 64) + product_cost(size, 16))
+    check_budget(cost, budget, f"the expansion of order {n}")
     weights = terms = alternating_binomials(n)
     moments = [sum(terms)]
     for _ in range(n):
@@ -158,12 +172,14 @@ def verify_via_expansion(n: int, x: Scalar = 0) -> IdentityReport:
     return IdentityReport(TEPPER, parameters, claimed, total_at_x, passed, witness=witness)
 
 
-def classify_power_sum(n: int, p: int) -> IdentityReport:
+def classify_power_sum(n: int, p: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """The signed power sum C(n,1) 1^p - ... + (-1)^(n-1) C(n,n) n^p, classified.
 
     p < n: claimed zero.  p = n: claimed (-1)^(p-1) p!.  p > n: no claim is
     made; the raw value is reported and the report passes vacuously.
     """
+    if n >= 0 and p >= 1:  # anything else is refused by alternating_power_sum, not priced
+        check_budget(occupancy.power_sum_cost(n, p), budget, f"the power sum of order {n} and power {p}")
     parameters = f"n={n} p={p}"
     computed = Fraction(occupancy.alternating_power_sum(n, p))
     if p < n:
@@ -176,39 +192,31 @@ def classify_power_sum(n: int, p: int) -> IdentityReport:
 
 
 def verify_occupancy(
-    params: occupancy.OccupancyParams, with_oracle: bool = False, budget: int = occupancy.DEFAULT_ENUMERATION_BUDGET
+    params: occupancy.OccupancyParams, with_oracle: bool = False, budget: int = DEFAULT_BUDGET
 ) -> IdentityReport:
-    """The closed-form occupancy count against the enumeration oracle, or against itself without it.
-
-    The oracle raises BudgetExceededError when the enumeration would exceed ``budget``.
-    """
+    """The closed-form occupancy count against the enumeration oracle, or against itself without it."""
+    parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
+    cost = occupancy.closed_form_cost(params) + (occupancy.oracle_cost(params) if with_oracle else 0)
+    check_budget(cost, budget, f"occupancy {parameters}{' with the oracle' if with_oracle else ''}")
     closed = occupancy.exact_occupancy_count(params)
     computed = occupancy.brute_force_occupancy(params, budget=budget) if with_oracle else closed
-    parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
     return IdentityReport("occupancy", parameters, closed, computed, computed == closed)
 
 
-def verify_wilson(p: int, route: str = "naive") -> IdentityReport:
-    """(p-1)! mod p by the named route against the Wilson residue p - 1.
-
-    The naive route costs p loop steps.  The tepper and fermat routes sum p
-    exact binomials of up to p bits, priced at p^2 steps: up to p = 1000.
-    """
+def verify_wilson(p: int, route: str = "naive", budget: int = DEFAULT_BUDGET) -> IdentityReport:
+    """(p-1)! mod p by the named route against the Wilson residue p - 1, priced by ``numtheory.wilson_cost``."""
     compute = numtheory.wilson_route(route)
-    steps = p if route == "naive" else p * p
-    selector = f"p = {p}" if route == "naive" else f"p = {p} ({steps} loop steps on the {route} route)"
-    numtheory.check_loop_steps(steps, selector)
+    check_budget(numtheory.wilson_cost(route, p), budget, f"the {route} route at p = {p}")
     check = compute(p)
     residues = check.expected_residue, check.computed_residue
     return IdentityReport("wilson", f"p={p} route={check.route}", *residues, check.passed)
 
 
-def verify_wilson_upto(upto: int) -> list[IdentityReport]:
-    """Wilson's "prime"/"composite" verdict against trial division's for n = 2..upto, at upto(upto-1)/2 loop steps."""
+def verify_wilson_upto(upto: int, budget: int = DEFAULT_BUDGET) -> list[IdentityReport]:
+    """Wilson's "prime"/"composite" verdict against trial division's for n = 2..upto: upto/2 naive routes at upto."""
     if upto < 2:
         raise InputError(f"N = {upto} checks nothing; the range 2..N needs N >= 2")
-    steps = upto * (upto - 1) // 2
-    numtheory.check_loop_steps(steps, f"N = {upto} ({steps} loop steps)")
+    check_budget(upto * numtheory.wilson_cost("naive", upto) // 2, budget, f"the naive route for every n <= {upto}")
     reports = []
     for n in range(2, upto + 1):
         check, trial_says_prime = numtheory.factorial_mod_naive_check(n), numtheory.is_prime_trial(n)
@@ -234,15 +242,22 @@ def random_polynomial(rng: random.Random, degree: int) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def sweep_conjecture(max_degree: int, max_step: int, trials: int, seed: int) -> list[IdentityReport]:
+def sweep_conjecture(
+    max_degree: int, max_step: int, trials: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> list[IdentityReport]:
     """Symbolic step-l verification over every (degree, step) pair.
 
     Degrees run 1..max_degree (degree 0 only when max_degree = 0), steps run
     1..max_step, with ``trials`` random polynomials per pair.  Reports come
     back in (degree, step, trial) order, deterministically for a given seed.
+    It is priced as its instances times the costliest one, of 20-bit coefficients.
     """
     if max_degree < 0 or max_step < 0 or trials < 0:
         raise InputError("sweep bounds must be >= 0")
+    if max_step < 1 or trials < 1:
+        raise InputError(f"max_step = {max_step} and trials = {trials} check nothing; the sweep needs both >= 1")
+    cost = max(max_degree, 1) * max_step * trials * sum_cost(max_degree, 20, DifferenceParams(max_degree, max_step))
+    check_budget(cost, budget, f"the sweep to degree {max_degree} and step {max_step}, {trials} trials each")
     rng = random.Random(seed)
     degrees = range(0, 1) if max_degree == 0 else range(1, max_degree + 1)
     reports = []
@@ -250,7 +265,7 @@ def sweep_conjecture(max_degree: int, max_step: int, trials: int, seed: int) -> 
         for step in range(1, max_step + 1):
             for trial in range(trials):
                 p = random_polynomial(rng, degree)
-                report = verify_conjecture(p, step, mode=SYMBOLIC)
+                report = verify_conjecture(p, step, mode=SYMBOLIC, budget=budget)
                 report = replace(
                     report,
                     parameters=f"degree={degree} step={step} trial={trial} " + report.parameters,

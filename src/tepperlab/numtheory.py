@@ -20,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InputError
-from .exact import alternating_binomials
+from .errors import DEFAULT_BUDGET, InputError, check_budget
+from .exact import alternating_binomials, product_cost, row_cost
 
 ROUTE_NAIVE = "naive_factorial"
 ROUTE_TEPPER = "tepper_sum"
 ROUTE_FERMAT = "fermat_reduced_sum"
 
-# The Wilson computations run loops of known length; refuse rather than hang.
-DEFAULT_WILSON_LIMIT = 10**6
 WILSON_ROUTES = ("naive", "tepper", "fermat")
 
 
@@ -163,15 +161,17 @@ def wilson_route(name: str) -> Callable[[int], ModularCheck]:
     return routes[name]
 
 
-def check_loop_steps(steps: int, selector: str, limit: int = DEFAULT_WILSON_LIMIT) -> None:
-    """Refuse a computation of ``steps`` loop steps beyond ``limit``, naming it by ``selector``."""
-    if steps > limit:
-        raise InputError(f"{selector} exceeds the input limit {limit}")
+def wilson_cost(name: str, p: int) -> int:
+    """Budget units for the named route at p: p modular products, or the row, a sum and on the tepper route powers."""
+    p = max(p, 0)  # the route itself refuses p < 2
+    if name == "naive":
+        return p * product_cost(p.bit_length(), p.bit_length())
+    return row_cost(p - 1) + p * (product_cost(p, 64) + (p.bit_length() if name == "tepper" else 0))
 
 
-def wilson_primality(n: int, limit: int = DEFAULT_WILSON_LIMIT) -> bool:
-    """True iff (n-1)! = -1 (mod n), i.e. iff n is prime; n loop steps."""
+def wilson_primality(n: int, limit: int = DEFAULT_BUDGET) -> bool:
+    """True iff (n-1)! = -1 (mod n), i.e. iff n is prime; priced as the naive route against the budget ``limit``."""
     if n < 2:
         raise InputError("wilson_primality requires n >= 2")
-    check_loop_steps(n, f"n = {n}", limit)
+    check_budget(wilson_cost("naive", n), limit, f"the Wilson test at n = {n}")
     return factorial_mod_naive(n - 1, n) == n - 1

@@ -7,8 +7,8 @@ exactly r wagons as C(n,r) times the inclusion-exclusion surjection count
 
 with the 0^0 = 1 convention so that degenerate parameters (p = 0 or r = 0)
 stay well defined.  ``brute_force_occupancy`` is the independent oracle: it
-enumerates all n^p assignments and counts image sizes directly, guarded by
-an enumeration budget.  It splits the passengers into a head of p // 2,
+enumerates all n^p assignments and counts image sizes directly, priced by
+``oracle_cost`` against its budget.  It splits the passengers into a head of p // 2,
 whose n^(p//2) image masks it tabulates, and a tail it loops over.  For
 each tail one ``operator.countOf`` pipeline ORs the tail mask into every
 head mask, takes each bit count and counts those equal to r, so every
@@ -20,12 +20,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from decimal import Decimal
 
-from .errors import BudgetExceededError, InputError
-from .exact import alternating_binomials, binomial
-
-DEFAULT_ENUMERATION_BUDGET = 10**7
+from .errors import DEFAULT_BUDGET, InputError, check_budget
+from .exact import alternating_binomials, binomial, product_cost, row_cost
 
 
 @dataclass(frozen=True)
@@ -52,6 +49,18 @@ def surjection_count(onto: int, domain: int) -> int:
     return sum(w * (onto - i) ** domain for i, w in enumerate(alternating_binomials(onto)))
 
 
+def power_sum_cost(n: int, p: int) -> int:
+    """Budget units for the sum of C(n,k) k^p: the row, and n powers of p*log2(n) bits, each times a binomial."""
+    bits = p * n.bit_length()
+    return row_cost(n) + n * (product_cost(bits, bits // 2) + product_cost(bits, n))
+
+
+def closed_form_cost(params: OccupancyParams) -> int:
+    """Budget units for ``exact_occupancy_count``: C(n,r), of r factors of log2(n) bits, and the surjection sum."""
+    bits = params.occupied * params.wagons.bit_length()
+    return product_cost(bits, bits // 2) + power_sum_cost(params.occupied, params.passengers)
+
+
 def exact_occupancy_count(params: OccupancyParams) -> int:
     """Assignments of p passengers to n wagons occupying exactly r wagons."""
     return binomial(params.wagons, params.occupied) * surjection_count(
@@ -59,9 +68,14 @@ def exact_occupancy_count(params: OccupancyParams) -> int:
     )
 
 
-def brute_force_occupancy(
-    params: OccupancyParams, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
+def oracle_cost(params: OccupancyParams) -> int:
+    """Budget units for ``brute_force_occupancy``: n^p assignments, each once per 1024 bits of its mask
+    (OR-ing and counting 1024 bits costs about a loop step), 8 more per tail for its pipeline, p for its loops."""
+    n, p = params.wagons, params.passengers
+    return n**p * (-(-n // 1024) if p else 1) + 8 * n ** (p - p // 2) + p
+
+
+def brute_force_occupancy(params: OccupancyParams, budget: int = DEFAULT_BUDGET) -> int:
     """The same count by exhaustive enumeration of all n^p assignments.
 
     The first p // 2 passengers form a head table of n^(p//2) image masks,
@@ -73,27 +87,11 @@ def brute_force_occupancy(
     the extra memory is n^(p//2) masks (one entry when p = 1): no list is
     built per tail.
 
-    Raises BudgetExceededError when n^p, or n^p * ceil(n/4096) for masks
-    wider than 4096 bits, exceeds ``budget``; callers record the oracle as
-    unavailable in that case.
+    Raises BudgetExceededError when ``oracle_cost`` exceeds ``budget``;
+    callers record the oracle as unavailable in that case.
     """
     n, p, r = params.wagons, params.passengers, params.occupied
-    total = n**p
-    if total > budget:
-        raise BudgetExceededError(
-            # Decimal prints n^p in full where str(int) stops at 4300 digits.
-            f"enumerating {n}^{p} = {Decimal(total)} assignments exceeds the budget of {budget}"
-        )
-    # An assignment costs about as much as OR-ing and counting 30 words of its
-    # mask, so up to 64 words (4096 wagons) the assignment is the unit, and
-    # beyond that each 4096 wagons count once.  With no passengers the one
-    # mask is 0.
-    units = total * ((n + 4095) // 4096) if p else total
-    if units > budget:
-        raise BudgetExceededError(
-            f"enumerating {n}^{p} = {Decimal(total)} assignments of {n}-bit masks counts "
-            f"{Decimal(units)}, one per assignment per 4096 bits, which exceeds the budget of {budget}"
-        )
+    check_budget(oracle_cost(params), budget, f"enumerating {n}^{p} assignments")
     heads = [0]
     for _ in range(p // 2):
         heads = [mask | 1 << wagon for mask in heads for wagon in range(n)]

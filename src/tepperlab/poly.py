@@ -118,6 +118,11 @@ class Polynomial:
         return len(self._numerators) - 1
 
     @property
+    def bit_length(self) -> int:
+        """The largest bit length among the integer numerators and their denominator."""
+        return max(map(int.bit_length, (self._denominator, *self._numerators)))
+
+    @property
     def leading_coefficient(self) -> Fraction:
         if not self._numerators:
             raise InputError("the zero polynomial has no leading coefficient")

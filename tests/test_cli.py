@@ -112,18 +112,35 @@ def test_budget_env_takes_a_sign_and_ascii_digits_only(capsys, monkeypatch, raw)
     assert (code, out, err) == (2, "", f"INPUT-ERROR {cli.BUDGET_ENV_VAR} must be an integer, not {raw!r}\n")
 
 
-def test_budget_env_is_read_only_when_the_oracle_runs(capsys, monkeypatch):
+_UNITS_OF_6 = "units, which exceeds the budget of 6\n"
+
+
+def test_budget_env_is_read_by_every_command_without_the_flag(capsys, monkeypatch):
+    # --budget wins over the variable, which is then not read; without the flag every subcommand reads it.
     monkeypatch.setenv(cli.BUDGET_ENV_VAR, "lots")
-    code, out, err = run_cli(capsys, "occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2")
+    argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2")
+    code, out, err = run_cli(capsys, *argv, "--budget", "7")
     assert (code, err) == (0, "")
     assert out == "PASS occupancy wagons=3 passengers=2 occupied=2 closed_form=6 oracle=skipped unchecked\n"
+    unread = f"INPUT-ERROR {cli.BUDGET_ENV_VAR} must be an integer, not 'lots'\n"
+    for command in (argv, ("tepper", "--n", "3"), ("wilson", "--upto", "5"), ("powersum", "--n", "2", "--p", "2")):
+        assert run_cli(capsys, *command) == (2, "", unread)
+    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "6")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 7 {_UNITS_OF_6}"
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
-def test_budget_is_refused_without_the_oracle(capsys, output_format):
-    argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--budget", "1")
-    code, out, err = run_cli(capsys, *argv, "--format", output_format)
-    assert (code, out, err) == (2, "", "INPUT-ERROR occupancy --budget applies only with --oracle\n")
+def test_budget_applies_without_the_oracle(capsys, output_format):
+    # The closed form alone is priced: 7 units exceed a budget of 6 and fit one of 7.
+    argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--format", output_format)
+    code, out, err = run_cli(capsys, *argv, "--budget", "6")
+    assert (code, out) == (3, "")
+    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 7 {_UNITS_OF_6}"
+    code, out, err = run_cli(capsys, *argv, "--budget", "7")
+    assert (code, err) == (0, "")
+    assert "6" in out
 
 
 @pytest.mark.parametrize("raw", ["0", "-5"])
@@ -260,9 +277,12 @@ def test_wilson_upto_below_two_is_an_input_error(capsys, output_format):
 
 
 def test_wilson_limit_refusal(capsys):
-    code, _, err = run_cli(capsys, "wilson", "--p", "2000003")
-    assert code == 2
-    assert "limit" in err
+    # The naive route costs a unit per modular product, so p = 10^7 + 1 is one past the default budget.
+    code, out, err = run_cli(capsys, "wilson", "--p", "10000001")
+    assert (code, out) == (3, "")
+    assert err == (
+        "BUDGET-EXCEEDED the naive route at p = 10000001 costs 10000001 units, which exceeds the budget of 10000000\n"
+    )
 
 
 def test_powersum_above_diagonal_is_unclassified(capsys):
@@ -417,14 +437,16 @@ def test_out_of_range_residue_is_an_internal_error_not_an_input_error(capsys, mo
 
 
 def test_budget_refusal_of_an_enumeration_beyond_the_str_limit_exits_3(capsys):
-    # 3000^3000 has 10,432 digits; the refusal names it in full.
-    argv = ("occupancy", "--wagons", "3000", "--passengers", "3000", "--occupied", "3000", "--oracle")
+    # 3000^3000 has 10,432 digits; the refusal prices it in full: 3 units per assignment of a 3000-bit mask,
+    # 8 per tail of 1500 passengers, 3000 for the loops and 1105 for the closed form.
+    argv = ("occupancy", "--wagons", "3000", "--passengers", "3000", "--occupied", "2", "--oracle")
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
+    units = 3 * 3000**3000 + 8 * 3000**1500 + 3000 + 1105
     assert err == (
-        f"BUDGET-EXCEEDED enumerating 3000^3000 = {decimal_digits(3000**3000)} assignments "
-        "exceeds the budget of 10000000\n"
+        "BUDGET-EXCEEDED occupancy wagons=3000 passengers=3000 occupied=2 with the oracle "
+        f"costs {decimal_digits(units)} units, which exceeds the budget of 10000000\n"
     )
 
 
@@ -447,8 +469,11 @@ def test_wilson_upto_limit_refusal(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "wilson", "--upto", "2000003")
     assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert "limit" in err
+    assert (code, out) == (3, "")
+    assert err == (
+        "BUDGET-EXCEEDED the naive route for every n <= 2000003 costs 2000006000004 units, "
+        "which exceeds the budget of 10000000\n"
+    )
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
@@ -553,26 +578,30 @@ def test_oracle_budget_counts_mask_width_beyond_4096_wagons(capsys, output_forma
     code, out, err = run_cli(capsys, *argv, "--format", output_format)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
+    # 10^6 assignments of 977 units each, one per 1024 bits, 8 more per tail, 1 for the loop, 4 for the closed form.
     assert err == (
-        "BUDGET-EXCEEDED enumerating 1000000^1 = 1000000 assignments of 1000000-bit masks counts "
-        "245000000, one per assignment per 4096 bits, which exceeds the budget of 10000000\n"
+        "BUDGET-EXCEEDED occupancy wagons=1000000 passengers=1 occupied=1 with the oracle costs 985000005 units, "
+        "which exceeds the budget of 10000000\n"
     )
-    # 20000 * ceil(20000/4096) = 100000 fits the default budget.
+    # 20000 * ceil(20000/1024) + 8 * 20000 + 1 + 4 = 560005 fits the default budget.
     code, out, err = run_cli(capsys, "occupancy", "--wagons", "20000", "--passengers", "1", "--occupied", "1", "--oracle")
     assert (code, err) == (0, "")
     assert out.endswith("closed_form=20000 oracle=20000 agrees\n")
 
 
 def test_wilson_upto_limit_counts_loop_steps(capsys):
-    # N(N-1)/2 loop steps: 1414 -> 998,991 fits the limit of 10^6, 2000 -> 1,999,000 does not.
+    # N^2/2 naive steps: 4472 -> 9,999,392 fits the default budget of 10^7, 4473 -> 10,003,864 does not.
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "wilson", "--upto", "2000")
+    code, out, err = run_cli(capsys, "wilson", "--upto", "4473")
     assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == "INPUT-ERROR N = 2000 (1999000 loop steps) exceeds the input limit 1000000\n"
-    code, out, err = run_cli(capsys, "wilson", "--upto", "1414")
+    assert (code, out) == (3, "")
+    assert err == (
+        "BUDGET-EXCEEDED the naive route for every n <= 4473 costs 10003864 units, "
+        "which exceeds the budget of 10000000\n"
+    )
+    code, out, err = run_cli(capsys, "wilson", "--upto", "4472")
     assert (code, err) == (0, "")
-    assert len(out.splitlines()) == 1413
+    assert len(out.splitlines()) == 4471
 
 
 def test_wilson_upto_rows_text_and_json(capsys):
@@ -632,17 +661,26 @@ def test_occupancy_disagreement_fails_and_shows_the_oracle(capsys, monkeypatch, 
     )
 
 
-@pytest.mark.parametrize("route", ["tepper", "fermat"])
-def test_wilson_sum_routes_are_priced_at_p_squared_steps(capsys, route):
-    # Both routes sum p exact binomials of up to p bits: 1009^2 > 10^6 >= 997^2.
+@pytest.mark.parametrize(
+    "route, units_997, units_1009", [("tepper", 20710, 21054), ("fermat", 10740, 10964)], ids=["tepper", "fermat"]
+)
+def test_wilson_sum_routes_are_priced_at_p_squared_steps(capsys, route, units_997, units_1009):
+    # Both routes build the row of p - 1, about p^2/128 units: of two neighbouring primes the
+    # smaller fits a budget of its own price and the larger does not.
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "wilson", "--p", "1009", "--route", route)
+    code, out, err = run_cli(capsys, "wilson", "--p", "1009", "--route", route, "--budget", str(units_997))
     assert time.perf_counter() - start < 0.5
-    assert (code, out) == (2, "")
-    assert err == f"INPUT-ERROR p = 1009 (1018081 loop steps on the {route} route) exceeds the input limit 1000000\n"
-    code, out, err = run_cli(capsys, "wilson", "--p", "997", "--route", route)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"BUDGET-EXCEEDED the {route} route at p = 1009 costs {units_1009} units, "
+        f"which exceeds the budget of {units_997}\n"
+    )
+    code, out, err = run_cli(capsys, "wilson", "--p", "997", "--route", route, "--budget", str(units_997))
     assert (code, err) == (0, "")
     assert out.startswith("PASS wilson p=997 ")
+    # At the default budget p = 100003 is refused on both routes; the tepper route takes about 4 s there.
+    code, out, err = run_cli(capsys, "wilson", "--p", "100003", "--route", route)
+    assert (code, out) == (3, "")
 
 
 def test_wilson_naive_route_is_priced_at_p_steps(capsys):
@@ -734,3 +772,92 @@ def test_integer_options_take_a_sign_and_leading_zeros(capsys):
     assert (code, out, err) == (0, "PASS tepper n=3 mode=symbolic x=ignored computed=6 claimed=6\n", "")
     sweeps = [run_cli(capsys, *_INTEGER_OPTIONS["--seed"], seed) for seed in ("-7", "-07")]
     assert sweeps[0] == sweeps[1] and sweeps[0][0] == 0
+
+
+# Inputs that each took well over a second before every command was priced (some ran out of memory),
+# with the message each now exits 3 with.  CI runs the same list as real processes.
+_UNITS = "units, which exceeds the budget of 10000000"
+REFUSALS = [
+    (["general", "--poly", "x^1000"], f"the symbolic sum of order 1000 at degree 1000 costs 315237600 {_UNITS}"),
+    (
+        ["sweep", "--max-degree", "200", "--max-step", "200", "--trials", "100"],
+        f"the sweep to degree 200 and step 200, 100 trials each costs 7386676000000 {_UNITS}",
+    ),
+    (
+        ["sweep", "--max-degree", "1000000", "--max-step", "1000000", "--trials", "1000000"],
+        "the sweep to degree 1000000 and step 1000000, 1000000 trials each costs "
+        f"73746301375154984129000000000000000000 {_UNITS}",
+    ),
+    (
+        ["occupancy", "--wagons", "100000", "--passengers", "100000", "--occupied", "50000"],
+        f"occupancy wagons=100000 passengers=100000 occupied=50000 costs 174552012012 {_UNITS}",
+    ),
+    (
+        ["powersum", "--n", "2000", "--p", "20000"],
+        f"the power sum of order 2000 and power 20000 costs 311343250 {_UNITS}",
+    ),
+    (["tepper", "--n", "20", "--x", "9" * 20000], f"the numeric sum of order 20 at degree 20 costs 294185852 {_UNITS}"),
+    (
+        ["tepper", "--n", "1000000000"],
+        f"the symbolic sum of order 1000000000 at degree 1000000000 costs 1250687284935444875787258301069 {_UNITS}",
+    ),
+    (
+        ["lemma", "--poly", "x", "--n", "1000000000"],
+        f"the symbolic sum of order 1000000000 at degree 1 costs 12695428767673048 {_UNITS}",
+    ),
+    (["expansion", "--n", "1000000"], f"the expansion of order 1000000 costs 26857034670500000 {_UNITS}"),
+    # 600 digits, not 4,000: an --l past the int/str digit limit (640 at its lowest) is a usage error.
+    (
+        ["conjecture", "--poly", "x^100", "--l", "9" * 600],
+        f"the symbolic sum of order 100 at degree 100 costs 29678351 {_UNITS}",
+    ),
+    (["wilson", "--p", "100003", "--route", "tepper"], f"the tepper route at p = 100003 costs 99528766 {_UNITS}"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in REFUSALS])
+def test_costly_inputs_are_refused_at_once_by_the_default_budget(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"BUDGET-EXCEEDED {message}\n")
+
+
+# For each price, at a budget of one input's own price: that input runs, and the next one up is refused.
+# Each x and l below is that many nines, so the second row of each pair moves only the bits of x or of l.
+_NINES = {"x200": "9" * 200, "x201": "9" * 201, "l100": "9" * 100, "l101": "9" * 101}
+BOUNDARIES = [
+    ("tepper --n 10", "tepper --n 11", 1473, "the symbolic sum of order 11 at degree 11 costs 1775"),
+    ("tepper --n 20 --x x200", "tepper --n 20 --x x201", 122537,
+     "the numeric sum of order 20 at degree 20 costs 123860"),
+    ("conjecture --poly x^10 --l l100", "conjecture --poly x^10 --l l101", 4278,
+     "the symbolic sum of order 10 at degree 10 costs 4311"),
+    ("lemma --poly x --n 300", "lemma --poly x --n 301", 17327,
+     "the symbolic sum of order 301 at degree 1 costs 17386"),
+    ("expansion --n 30", "expansion --n 31", 1897, "the expansion of order 31 costs 2022"),
+    ("powersum --n 200 --p 400", "powersum --n 200 --p 401", 35912,
+     "the power sum of order 200 and power 401 costs 36112"),
+    ("occupancy --wagons 300 --passengers 400 --occupied 200", "occupancy --wagons 300 --passengers 401 --occupied 200",
+     35962, "occupancy wagons=300 passengers=401 occupied=200 costs 36162"),
+    ("occupancy --wagons 1024 --passengers 1 --occupied 1 --oracle",
+     "occupancy --wagons 1025 --passengers 1 --occupied 1 --oracle",
+     9221, "occupancy wagons=1025 passengers=1 occupied=1 with the oracle costs 10255"),
+    ("wilson --p 1000", "wilson --p 1001", 1000, "the naive route at p = 1001 costs 1001"),
+    ("wilson --p 1000 --route tepper", "wilson --p 1001 --route tepper", 20795,
+     "the tepper route at p = 1001 costs 20824"),
+    ("wilson --p 997 --route fermat", "wilson --p 998 --route fermat", 10740,
+     "the fermat route at p = 998 costs 10758"),
+    ("wilson --upto 100", "wilson --upto 101", 5000, "the naive route for every n <= 101 costs 5100"),
+    ("sweep --max-degree 5 --max-step 2 --trials 2", "sweep --max-degree 6 --max-step 2 --trials 2", 9820,
+     "the sweep to degree 6 and step 2, 2 trials each costs 15096"),
+]
+
+
+@pytest.mark.parametrize("admitted, refused, budget, message", BOUNDARIES, ids=[row[0][:40] for row in BOUNDARIES])
+def test_each_price_admits_an_input_at_its_own_price_and_refuses_the_next(capsys, admitted, refused, budget, message):
+    admitted, refused = ([_NINES.get(word, word) for word in argv.split()] for argv in (admitted, refused))
+    code, out, err = run_cli(capsys, *admitted, "--budget", str(budget))
+    assert code in (0, 1) and err == "" and out
+    code, out, err = run_cli(capsys, *refused, "--budget", str(budget))
+    assert (code, out, err) == (3, "", f"BUDGET-EXCEEDED {message} units, which exceeds the budget of {budget}\n")

@@ -1,6 +1,7 @@
 """Verifier reports: exact claims and witnesses; every refused input raises InputError."""
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -15,7 +16,10 @@ from tepperlab import (
     InputError,
     OccupancyParams,
     Polynomial,
+    diffcalc,
+    identities,
     iterated_difference,
+    numtheory,
     occupancy,
 )
 from tepperlab.identities import (
@@ -171,6 +175,10 @@ def test_conjecture_rejects_bad_inputs():
         (verify_wilson, (7, "other"), "route must be one of naive, tepper, fermat, not 'other'"),
         (verify_wilson_upto, (1,), "N = 1 checks nothing; the range 2..N needs N >= 2"),
         (sweep_conjecture, (-1, 1, 1, 0), "sweep bounds must be >= 0"),
+        (verify_wilson, (-10**9, "tepper"), "p must be >= 2"),  # refused by the route, not priced
+        (sweep_conjecture, (3, -1, 0, 0), "sweep bounds must be >= 0"),
+        (sweep_conjecture, (3, 0, 1, 0), "max_step = 0 and trials = 1 check nothing; the sweep needs both >= 1"),
+        (sweep_conjecture, (3, 1, 0, 0), "max_step = 1 and trials = 0 check nothing; the sweep needs both >= 1"),
     ],
 )
 def test_every_builder_refuses_input_by_raising(verify, args, message):
@@ -288,9 +296,13 @@ def test_occupancy_report_computes_a_disagreeing_oracle_and_fails(monkeypatch, o
 
 
 def test_occupancy_report_passes_the_oracle_budget_on():
-    with pytest.raises(BudgetExceededError):
-        verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=3**5 - 1)
-    assert verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=3**5).computed == 90
+    # 3^5 assignments, 8 units for each of the 3^3 tails, 5 for the loops and 7 for the closed form: 471.
+    message = "occupancy wagons=3 passengers=5 occupied=2 with the oracle costs 471 units, "
+    message += "which exceeds the budget of 470"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=470)
+    assert verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=471).computed == 90
+    assert verify_occupancy(OccupancyParams(3, 5, 2), budget=7).computed == 90
 
 
 @pytest.mark.parametrize(
@@ -313,13 +325,14 @@ def test_wilson_report_refusals():
     for p in (7, 2000003):
         with pytest.raises(InputError, match="route must be one of naive, tepper, fermat, not 'other'"):
             verify_wilson(p, "other")
-    with pytest.raises(InputError, match=r"^p = 2000003 exceeds the input limit 1000000$"):
-        verify_wilson(2000003)
-    # The tepper and fermat routes cost p^2 steps: 1009^2 > 10^6 >= 997^2.
-    for route in ("tepper", "fermat"):
-        with pytest.raises(InputError, match=rf"^p = 1009 \(1018081 loop steps on the {route} route\) exceeds"):
-            verify_wilson(1009, route)
-        assert verify_wilson(997, route).passed
+    with pytest.raises(BudgetExceededError, match=r"^the naive route at p = 10000001 costs 10000001 units, which"):
+        verify_wilson(10000001)
+    # The tepper and fermat routes build the row of p - 1: 1009 costs more than 997, whose price it is given.
+    for route, units_997, units_1009 in (("tepper", 20710, 21054), ("fermat", 10740, 10964)):
+        message = f"^the {route} route at p = 1009 costs {units_1009} units, which exceeds the budget of {units_997}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            verify_wilson(1009, route, budget=units_997)
+        assert verify_wilson(997, route, budget=units_997).passed
 
 
 def test_wilson_upto_reports_match_the_cli_rows():
@@ -333,8 +346,10 @@ def test_wilson_upto_reports_match_the_cli_rows():
     assert all(r.witness is None for r in reports)
     with pytest.raises(InputError, match=r"^N = 1 checks nothing; the range 2\.\.N needs N >= 2$"):
         verify_wilson_upto(1)
-    with pytest.raises(InputError, match=r"^N = 1415 \(1000405 loop steps\) exceeds the input limit 1000000$"):
-        verify_wilson_upto(1415)
+    message = r"^the naive route for every n <= 5 costs 12 units, which exceeds the budget of 11$"
+    with pytest.raises(BudgetExceededError, match=message):
+        verify_wilson_upto(5, budget=11)
+    assert len(verify_wilson_upto(5, budget=12)) == 4
 
 
 def test_random_polynomial_contract():
@@ -443,3 +458,60 @@ def test_conjecture_symbolic_at_high_degree_matches_iterated_difference():
     report = verify_conjecture(p, 3)
     assert report.passed
     assert report.witness == iterated_difference(p, DifferenceParams(order=60, step=3))
+
+
+_COSTLY = [
+    (verify_tepper, (10**9,)),
+    (verify_tepper, (10**9, 1, NUMERIC)),
+    (verify_tepper, (20, 10**20000 - 1, NUMERIC)),
+    (verify_lemma, (Polynomial.monomial(1), 10**9)),
+    (verify_generalized, (Polynomial.monomial(1000),)),
+    (verify_conjecture, (Polynomial.monomial(100), 10**600 - 1)),
+    (verify_via_expansion, (10**6,)),
+    (classify_power_sum, (2000, 20000)),
+    (verify_occupancy, (OccupancyParams(100000, 100000, 50000),)),
+    (verify_occupancy, (OccupancyParams(10**6, 1, 1), True)),
+    (verify_wilson, (100003, "tepper")),
+    (verify_wilson, (100003, "fermat")),
+    (verify_wilson, (10**7 + 1,)),
+    (verify_wilson_upto, (10**6,)),
+    (sweep_conjecture, (200, 200, 100, 0)),
+]
+
+
+@pytest.mark.parametrize("verify, args", _COSTLY, ids=lambda v: getattr(v, "__name__", None))
+def test_every_verifier_prices_its_work_before_building_anything_of_size_n(monkeypatch, verify, args):
+    # Every builder of a size-n object fails the test if it is reached: the refusal must come first.
+    def built(*_args, **_kwargs):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(Polynomial, "monomial", classmethod(built))
+    for module in (identities, diffcalc, occupancy, numtheory):
+        monkeypatch.setattr(module, "alternating_binomials", built, raising=False)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r" costs \d+ units, which exceeds the budget of 10000000$"):
+        verify(*args)
+    assert time.perf_counter() - start < 1.0
+
+
+_CHEAP = [
+    (verify_tepper, (4,)),
+    (verify_tepper, (4, 3, NUMERIC)),
+    (verify_lemma, (Polynomial.monomial(1), 3)),
+    (verify_generalized, (Polynomial.monomial(3),)),
+    (verify_conjecture, (Polynomial.monomial(3), 2)),
+    (verify_via_expansion, (4,)),
+    (classify_power_sum, (4, 4)),
+    (verify_occupancy, (OccupancyParams(3, 2, 2), True)),
+    (verify_wilson, (7, "tepper")),
+    (verify_wilson_upto, (7,)),
+    (sweep_conjecture, (2, 2, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("verify, args", _CHEAP, ids=lambda v: getattr(v, "__name__", None))
+def test_every_verifier_takes_a_budget(verify, args):
+    with pytest.raises(BudgetExceededError, match=r" costs \d+ units, which exceeds the budget of 1$"):
+        verify(*args, budget=1)
+    result = verify(*args, budget=10**4)
+    assert all(r.passed for r in result) if isinstance(result, list) else result.passed

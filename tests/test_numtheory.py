@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from tepperlab import (
+    BudgetExceededError,
     InputError,
     binomial,
     factorial,
@@ -97,8 +98,12 @@ def test_wilson_primality_examples():
 def test_wilson_primality_guards():
     with pytest.raises(InputError):
         wilson_primality(1)
-    with pytest.raises(InputError):
-        wilson_primality(10**7)  # beyond the default input limit
+    # The limit is a budget, and the test costs a unit per modular product: n = 10^7 + 1 exceeds the default.
+    message = r"^the Wilson test at n = 10000001 costs 10000001 units, which exceeds the budget of 10000000$"
+    with pytest.raises(BudgetExceededError, match=message):
+        wilson_primality(10**7 + 1)
+    with pytest.raises(BudgetExceededError, match=r"costs 1000003 units, which exceeds the budget of 1000002$"):
+        wilson_primality(10**6 + 3, limit=10**6 + 2)
     assert wilson_primality(10**6 + 3, limit=10**6 + 3) in (True, False)
 
 

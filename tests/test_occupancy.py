@@ -1,5 +1,6 @@
 """Occupancy closed form vs. enumeration oracle, power sums, Stirling link."""
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -181,25 +182,34 @@ def test_oracle_with_one_passenger_builds_no_per_wagon_table():
 
 
 def test_budget_counts_each_4096_bits_of_a_mask_beyond_4096_wagons():
-    # n^p = 10^6 assignments fit a budget of 10^7, but each mask is 10^6 bits:
-    # 10^6 * ceil(10^6/4096) = 2.45e8.
-    with pytest.raises(
-        BudgetExceededError, match="1000000-bit masks counts 245000000, one per assignment per 4096 bits"
-    ):
-        brute_force_occupancy(OccupancyParams(10**6, 1, 1), budget=10**7)
-    # Up to 4096 wagons n^p alone decides: 4096^1 fits a budget of 4096, 4097^1 counts 2 * 4097.
-    assert brute_force_occupancy(OccupancyParams(4096, 1, 1), budget=4096) == 4096
-    with pytest.raises(BudgetExceededError, match="counts 8194,"):
-        brute_force_occupancy(OccupancyParams(4097, 1, 1), budget=8193)
-    # 215^3 (4-word masks, about 2 s) still fits the default budget, as before the width counted.
-    assert brute_force_occupancy(OccupancyParams(215, 3, 1)) == 215
-    # 20000 * ceil(20000/4096) = 100000 fits the default budget.
+    # n^p = 10^6 assignments of 10^6-bit masks cost ceil(10^6/1024) = 977 units each, 8 more per tail
+    # and 1 for the loop: 985000001, far past the default budget.
+    message = "enumerating 1000000^1 assignments costs 985000001 units, which exceeds the budget of 10000000"
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        brute_force_occupancy(OccupancyParams(10**6, 1, 1))
+    # Up to 1024 wagons an assignment costs one unit: 1024 * 1 + 8 * 1024 + 1 = 9217 fits a budget of 9217,
+    # and 1025 wagons cost 2 * 1025 + 8 * 1025 + 1 = 10251.
+    assert brute_force_occupancy(OccupancyParams(1024, 1, 1), budget=9217) == 1024
+    with pytest.raises(BudgetExceededError, match="costs 10251 units, which exceeds the budget of 9217$"):
+        brute_force_occupancy(OccupancyParams(1025, 1, 1), budget=9217)
+    # 215^3 (4-word masks) took about 2 s when it fit the enumeration budget; it costs 10308178 units now.
+    with pytest.raises(BudgetExceededError, match="costs 10308178 units"):
+        brute_force_occupancy(OccupancyParams(215, 3, 1))
+    # 20000 * ceil(20000/1024) + 8 * 20000 + 1 = 560001 fits the default budget.
     assert brute_force_occupancy(OccupancyParams(20000, 1, 1)) == 20000
-    # With no passengers the one assignment sets no bit, whatever the width.
-    assert brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=1) == 1
+    # With no passengers the one assignment sets no bit, whatever the width: 1 + 8 units.
+    assert brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=9) == 1
+    with pytest.raises(BudgetExceededError, match="costs 9 units, which exceeds the budget of 8$"):
+        brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=8)
+    # One wagon costs nothing per assignment, but its head and tail loops still take p steps.
+    message = "enumerating 1^100000000 assignments costs 100000009 units"
+    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+        brute_force_occupancy(OccupancyParams(1, 10**8, 1))
 
 
 def test_budget_names_the_assignment_count_when_it_alone_exceeds():
     with pytest.raises(BudgetExceededError) as excinfo:
         brute_force_occupancy(OccupancyParams(100, 4, 3), budget=10**7)
-    assert str(excinfo.value) == "enumerating 100^4 = 100000000 assignments exceeds the budget of 10000000"
+    assert str(excinfo.value) == (
+        "enumerating 100^4 assignments costs 100080004 units, which exceeds the budget of 10000000"
+    )

@@ -89,6 +89,9 @@ def test_verification_campaign_stdout_is_deterministic():
         (["--seed", " 1_0 "], "argument --seed: ' 1_0 ' is not an integer (a sign and ASCII digits)"),
         (["--occupancy-bound", "-1"], "argument --occupancy-bound: must be >= 0"),
         (["--max-step", "0"], "argument --max-step: must be >= 1"),
+        # A block that checks nothing would print "PASS ...: 0/0".
+        (["--trials", "0"], "argument --trials: must be >= 1"),
+        (["--prime-bound", "1"], "argument --prime-bound: must be >= 2"),
     ],
 )
 def test_verification_campaign_integer_options_use_the_cli_converters(argv, message):
