@@ -147,31 +147,27 @@ def _default_budget() -> int:
     return budget
 
 
-def _point(options: argparse.Namespace) -> tuple[Fraction, str, int]:
-    """The evaluation point (default 0), the mode and the budget: every step-sum verifier's last arguments.
-
-    Symbolic is the default; an explicit --x without --mode asks for a
-    pointwise check, so numeric wins there.
-    """
-    if options.x is None:
-        return Fraction(0), options.mode or identities.SYMBOLIC, options.budget
-    return options.x, options.mode or identities.NUMERIC, options.budget
+def _step_sum(verify, options: argparse.Namespace, *args) -> list[ReportRow]:
+    """``verify(*args, x, mode, budget)``: symbolic at x = 0 by default; an explicit --x without --mode asks for a
+    pointwise check, so numeric wins there."""
+    x, mode = (Fraction(0), identities.SYMBOLIC) if options.x is None else (options.x, identities.NUMERIC)
+    return [ReportRow(verify(*args, x, options.mode or mode, options.budget))]
 
 
 def _cmd_tepper(options: argparse.Namespace) -> list[ReportRow]:
-    return [ReportRow(identities.verify_tepper(options.n, *_point(options)))]
+    return _step_sum(identities.verify_tepper, options, options.n)
 
 
 def _cmd_lemma(options: argparse.Namespace) -> list[ReportRow]:
-    return [ReportRow(identities.verify_lemma(parse_polynomial(options.poly), options.n, *_point(options)))]
+    return _step_sum(identities.verify_lemma, options, parse_polynomial(options.poly), options.n)
 
 
 def _cmd_general(options: argparse.Namespace) -> list[ReportRow]:
-    return [ReportRow(identities.verify_generalized(parse_polynomial(options.poly), *_point(options)))]
+    return _step_sum(identities.verify_generalized, options, parse_polynomial(options.poly))
 
 
 def _cmd_conjecture(options: argparse.Namespace) -> list[ReportRow]:
-    return [ReportRow(identities.verify_conjecture(parse_polynomial(options.poly), options.l, *_point(options)))]
+    return _step_sum(identities.verify_conjecture, options, parse_polynomial(options.poly), options.l)
 
 
 def _cmd_expansion(options: argparse.Namespace) -> list[ReportRow]:

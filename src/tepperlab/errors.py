@@ -13,7 +13,7 @@ class BudgetExceededError(RuntimeError):
     """Work priced beyond its budget (maps to CLI exit code 3)."""
 
 
-def check_budget(cost: int, budget: int, what: str) -> None:
+def check_budget(cost: int | Decimal, budget: int, what: str) -> None:
     """Refuse ``what``, priced at ``cost`` units, when that exceeds ``budget``."""
     if cost > budget:
         # Decimal prints a cost of any size, where str(int) stops at 4300 digits.

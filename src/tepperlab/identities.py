@@ -194,12 +194,12 @@ def classify_power_sum(n: int, p: int, budget: int = DEFAULT_BUDGET) -> Identity
 def verify_occupancy(
     params: occupancy.OccupancyParams, with_oracle: bool = False, budget: int = DEFAULT_BUDGET
 ) -> IdentityReport:
-    """The closed-form occupancy count against the enumeration oracle, or against itself without it."""
+    """The closed-form occupancy count against the enumeration oracle, or against itself without it; each is priced."""
     parameters = f"wagons={params.wagons} passengers={params.passengers} occupied={params.occupied}"
-    cost = occupancy.closed_form_cost(params) + (occupancy.oracle_cost(params) if with_oracle else 0)
-    check_budget(cost, budget, f"occupancy {parameters}{' with the oracle' if with_oracle else ''}")
+    check_budget(occupancy.closed_form_cost(params), budget, f"occupancy {parameters}")
+    oracle = occupancy.brute_force_occupancy(params, budget=budget) if with_oracle else None  # priced before it runs
     closed = occupancy.exact_occupancy_count(params)
-    computed = occupancy.brute_force_occupancy(params, budget=budget) if with_oracle else closed
+    computed = closed if oracle is None else oracle
     return IdentityReport("occupancy", parameters, closed, computed, computed == closed)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, Context, Decimal, localcontext
 
 from .errors import DEFAULT_BUDGET, InputError, check_budget
 from .exact import alternating_binomials, binomial, product_cost, row_cost
@@ -50,9 +51,10 @@ def surjection_count(onto: int, domain: int) -> int:
 
 
 def power_sum_cost(n: int, p: int) -> int:
-    """Budget units for the sum of C(n,k) k^p: the row, and n powers of p*log2(n) bits, each times a binomial."""
-    bits = p * n.bit_length()
-    return row_cost(n) + n * (product_cost(bits, bits // 2) + product_cost(bits, n))
+    """Budget units for the sum of C(n,k) k^p: the row, then n powers of p*log2(k) bits, on average about
+    p*log2(n)*7/8, each squared up at half a product per step and times a binomial."""
+    bits = p * max(n.bit_length() - 1, 0) * 7 // 8
+    return row_cost(n) + n * (product_cost(bits // 2, bits // 2) // 2 + product_cost(bits, n))
 
 
 def closed_form_cost(params: OccupancyParams) -> int:
@@ -68,11 +70,16 @@ def exact_occupancy_count(params: OccupancyParams) -> int:
     )
 
 
-def oracle_cost(params: OccupancyParams) -> int:
+def oracle_cost(params: OccupancyParams) -> int | Decimal:
     """Budget units for ``brute_force_occupancy``: n^p assignments, each once per 1024 bits of its mask
-    (OR-ing and counting 1024 bits costs about a loop step), 8 more per tail for its pipeline, p for its loops."""
+    (OR-ing and counting 1024 bits costs about a loop step), or 8 per tail for its pipeline where that is more,
+    and p for its loops.  Past 2^64 assignments n^p keeps Decimal's 28 digits (Infinity past its exponent range)."""
     n, p = params.wagons, params.passengers
-    return n**p * (-(-n // 1024) if p else 1) + 8 * n ** (p - p // 2) + p
+    width = -(-n // 1024) if p else 1
+    if p * (n.bit_length() - 1) > 64:
+        with localcontext(Context(Emax=MAX_EMAX, traps=[])):
+            return Decimal(n) ** p * width + p
+    return max(n**p * width, 8 * n ** (p - p // 2)) + p
 
 
 def brute_force_occupancy(params: OccupancyParams, budget: int = DEFAULT_BUDGET) -> int:

@@ -112,33 +112,33 @@ def test_budget_env_takes_a_sign_and_ascii_digits_only(capsys, monkeypatch, raw)
     assert (code, out, err) == (2, "", f"INPUT-ERROR {cli.BUDGET_ENV_VAR} must be an integer, not {raw!r}\n")
 
 
-_UNITS_OF_6 = "units, which exceeds the budget of 6\n"
+_UNITS_OF_4 = "units, which exceeds the budget of 4\n"
 
 
 def test_budget_env_is_read_by_every_command_without_the_flag(capsys, monkeypatch):
     # --budget wins over the variable, which is then not read; without the flag every subcommand reads it.
     monkeypatch.setenv(cli.BUDGET_ENV_VAR, "lots")
     argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2")
-    code, out, err = run_cli(capsys, *argv, "--budget", "7")
+    code, out, err = run_cli(capsys, *argv, "--budget", "5")
     assert (code, err) == (0, "")
     assert out == "PASS occupancy wagons=3 passengers=2 occupied=2 closed_form=6 oracle=skipped unchecked\n"
     unread = f"INPUT-ERROR {cli.BUDGET_ENV_VAR} must be an integer, not 'lots'\n"
     for command in (argv, ("tepper", "--n", "3"), ("wilson", "--upto", "5"), ("powersum", "--n", "2", "--p", "2")):
         assert run_cli(capsys, *command) == (2, "", unread)
-    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "6")
+    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "4")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 7 {_UNITS_OF_6}"
+    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 5 {_UNITS_OF_4}"
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
 def test_budget_applies_without_the_oracle(capsys, output_format):
-    # The closed form alone is priced: 7 units exceed a budget of 6 and fit one of 7.
+    # The closed form alone is priced: 5 units exceed a budget of 4 and fit one of 5.
     argv = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2", "--format", output_format)
-    code, out, err = run_cli(capsys, *argv, "--budget", "6")
+    code, out, err = run_cli(capsys, *argv, "--budget", "4")
     assert (code, out) == (3, "")
-    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 7 {_UNITS_OF_6}"
-    code, out, err = run_cli(capsys, *argv, "--budget", "7")
+    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 5 {_UNITS_OF_4}"
+    code, out, err = run_cli(capsys, *argv, "--budget", "5")
     assert (code, err) == (0, "")
     assert "6" in out
 
@@ -437,16 +437,17 @@ def test_out_of_range_residue_is_an_internal_error_not_an_input_error(capsys, mo
 
 
 def test_budget_refusal_of_an_enumeration_beyond_the_str_limit_exits_3(capsys):
-    # 3000^3000 has 10,432 digits; the refusal prices it in full: 3 units per assignment of a 3000-bit mask,
-    # 8 per tail of 1500 passengers, 3000 for the loops and 1105 for the closed form.
+    # 3000^3000 has 10,432 digits; the refusal prices 3 units per assignment of a 3000-bit mask to Decimal's
+    # 28 digits, without building 3000^3000, and the loops' 3000 units fall below the last of them.
     argv = ("occupancy", "--wagons", "3000", "--passengers", "3000", "--occupied", "2", "--oracle")
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
     assert code == 3
     assert out == ""
-    units = 3 * 3000**3000 + 8 * 3000**1500 + 3000 + 1105
     assert err == (
-        "BUDGET-EXCEEDED occupancy wagons=3000 passengers=3000 occupied=2 with the oracle "
-        f"costs {decimal_digits(units)} units, which exceeds the budget of 10000000\n"
+        "BUDGET-EXCEEDED enumerating 3000^3000 assignments costs 6.932428734335727818079328293E+10431 units, "
+        "which exceeds the budget of 10000000\n"
     )
 
 
@@ -572,18 +573,18 @@ def test_polynomial_argument_is_capped_at_2_to_the_17_characters(capsys, command
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
-def test_oracle_budget_counts_mask_width_beyond_4096_wagons(capsys, output_format):
+def test_oracle_budget_counts_mask_width_beyond_1024_wagons(capsys, output_format):
     argv = ("occupancy", "--wagons", "1000000", "--passengers", "1", "--occupied", "1", "--oracle")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--format", output_format)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
-    # 10^6 assignments of 977 units each, one per 1024 bits, 8 more per tail, 1 for the loop, 4 for the closed form.
+    # 10^6 assignments of 977 units each, one per 1024 bits, and 1 for the loop.
     assert err == (
-        "BUDGET-EXCEEDED occupancy wagons=1000000 passengers=1 occupied=1 with the oracle costs 985000005 units, "
+        "BUDGET-EXCEEDED enumerating 1000000^1 assignments costs 977000001 units, "
         "which exceeds the budget of 10000000\n"
     )
-    # 20000 * ceil(20000/1024) + 8 * 20000 + 1 + 4 = 560005 fits the default budget.
+    # 20000 * ceil(20000/1024) + 1 = 400001 fits the default budget.
     code, out, err = run_cli(capsys, "occupancy", "--wagons", "20000", "--passengers", "1", "--occupied", "1", "--oracle")
     assert (code, err) == (0, "")
     assert out.endswith("closed_form=20000 oracle=20000 agrees\n")
@@ -681,6 +682,13 @@ def test_wilson_sum_routes_are_priced_at_p_squared_steps(capsys, route, units_99
     # At the default budget p = 100003 is refused on both routes; the tepper route takes about 4 s there.
     code, out, err = run_cli(capsys, "wilson", "--p", "100003", "--route", route)
     assert (code, out) == (3, "")
+
+
+def test_power_sums_that_ran_within_a_second_are_admitted_by_the_default_budget(capsys):
+    # 3761250 units: each k^2000 is priced by its own bits, about 2000 * log2(k), and squared at half a product.
+    code, out, err = run_cli(capsys, "powersum", "--n", "2000", "--p", "2000")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS power_sum_factorial n=2000 p=2000 computed=-")
 
 
 def test_wilson_naive_route_is_priced_at_p_steps(capsys):
@@ -790,11 +798,16 @@ REFUSALS = [
     ),
     (
         ["occupancy", "--wagons", "100000", "--passengers", "100000", "--occupied", "50000"],
-        f"occupancy wagons=100000 passengers=100000 occupied=50000 costs 174552012012 {_UNITS}",
+        f"occupancy wagons=100000 passengers=100000 occupied=50000 costs 54558662012 {_UNITS}",
     ),
     (
         ["powersum", "--n", "2000", "--p", "20000"],
-        f"the power sum of order 2000 and power 20000 costs 311343250 {_UNITS}",
+        f"the power sum of order 2000 and power 20000 costs 71813250 {_UNITS}",
+    ),
+    # The closed form of one occupied wagon is cheap at any p; 2^(10^9) is priced without being built.
+    (
+        ["occupancy", "--wagons", "2", "--passengers", "1000000000", "--occupied", "1", "--oracle"],
+        f"enumerating 2^1000000000 assignments costs 4.612976001169069393116119221E+301029995 {_UNITS}",
     ),
     (["tepper", "--n", "20", "--x", "9" * 20000], f"the numeric sum of order 20 at degree 20 costs 294185852 {_UNITS}"),
     (
@@ -836,13 +849,13 @@ BOUNDARIES = [
     ("lemma --poly x --n 300", "lemma --poly x --n 301", 17327,
      "the symbolic sum of order 301 at degree 1 costs 17386"),
     ("expansion --n 30", "expansion --n 31", 1897, "the expansion of order 31 costs 2022"),
-    ("powersum --n 200 --p 400", "powersum --n 200 --p 401", 35912,
-     "the power sum of order 200 and power 401 costs 36112"),
-    ("occupancy --wagons 300 --passengers 400 --occupied 200", "occupancy --wagons 300 --passengers 401 --occupied 200",
-     35962, "occupancy wagons=300 passengers=401 occupied=200 costs 36162"),
-    ("occupancy --wagons 1024 --passengers 1 --occupied 1 --oracle",
-     "occupancy --wagons 1025 --passengers 1 --occupied 1 --oracle",
-     9221, "occupancy wagons=1025 passengers=1 occupied=1 with the oracle costs 10255"),
+    ("powersum --n 200 --p 401", "powersum --n 200 --p 402", 8112,
+     "the power sum of order 200 and power 402 costs 8312"),
+    ("occupancy --wagons 300 --passengers 401 --occupied 200", "occupancy --wagons 300 --passengers 402 --occupied 200",
+     8162, "occupancy wagons=300 passengers=402 occupied=200 costs 8362"),
+    ("occupancy --wagons 1024 --passengers 2 --occupied 1 --oracle",
+     "occupancy --wagons 1025 --passengers 2 --occupied 1 --oracle",
+     1048578, "enumerating 1025^2 assignments costs 2101252"),
     ("wilson --p 1000", "wilson --p 1001", 1000, "the naive route at p = 1001 costs 1001"),
     ("wilson --p 1000 --route tepper", "wilson --p 1001 --route tepper", 20795,
      "the tepper route at p = 1001 costs 20824"),

@@ -296,13 +296,17 @@ def test_occupancy_report_computes_a_disagreeing_oracle_and_fails(monkeypatch, o
 
 
 def test_occupancy_report_passes_the_oracle_budget_on():
-    # 3^5 assignments, 8 units for each of the 3^3 tails, 5 for the loops and 7 for the closed form: 471.
-    message = "occupancy wagons=3 passengers=5 occupied=2 with the oracle costs 471 units, "
-    message += "which exceeds the budget of 470"
-    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
-        verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=470)
-    assert verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=471).computed == 90
-    assert verify_occupancy(OccupancyParams(3, 5, 2), budget=7).computed == 90
+    # The oracle checks its own price: 3^5 assignments (more than 8 units for each of the 3^3 tails) and 5 for
+    # the loops, 248.  The closed form checks 5 units of its own, with or without the oracle.
+    message = "enumerating 3^5 assignments costs 248 units, which exceeds the budget of 247"
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+        verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=247)
+    assert verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=True, budget=248).computed == 90
+    assert verify_occupancy(OccupancyParams(3, 5, 2), budget=5).computed == 90
+    message = "occupancy wagons=3 passengers=5 occupied=2 costs 5 units, which exceeds the budget of 4"
+    for with_oracle in (False, True):
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            verify_occupancy(OccupancyParams(3, 5, 2), with_oracle=with_oracle, budget=4)
 
 
 @pytest.mark.parametrize(

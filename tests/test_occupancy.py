@@ -1,6 +1,7 @@
 """Occupancy closed form vs. enumeration oracle, power sums, Stirling link."""
 import itertools
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -181,28 +182,32 @@ def test_oracle_with_one_passenger_builds_no_per_wagon_table():
     assert peak < 2 * 1024 * 1024
 
 
-def test_budget_counts_each_4096_bits_of_a_mask_beyond_4096_wagons():
-    # n^p = 10^6 assignments of 10^6-bit masks cost ceil(10^6/1024) = 977 units each, 8 more per tail
-    # and 1 for the loop: 985000001, far past the default budget.
-    message = "enumerating 1000000^1 assignments costs 985000001 units, which exceeds the budget of 10000000"
+def test_budget_counts_each_1024_bits_of_a_mask_beyond_1024_wagons():
+    # n^p = 10^6 assignments of 10^6-bit masks cost ceil(10^6/1024) = 977 units each, and 1 for the loop:
+    # 977000001, far past the default budget.
+    message = "enumerating 1000000^1 assignments costs 977000001 units, which exceeds the budget of 10000000"
     with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
         brute_force_occupancy(OccupancyParams(10**6, 1, 1))
-    # Up to 1024 wagons an assignment costs one unit: 1024 * 1 + 8 * 1024 + 1 = 9217 fits a budget of 9217,
-    # and 1025 wagons cost 2 * 1025 + 8 * 1025 + 1 = 10251.
-    assert brute_force_occupancy(OccupancyParams(1024, 1, 1), budget=9217) == 1024
-    with pytest.raises(BudgetExceededError, match="costs 10251 units, which exceeds the budget of 9217$"):
-        brute_force_occupancy(OccupancyParams(1025, 1, 1), budget=9217)
-    # 215^3 (4-word masks) took about 2 s when it fit the enumeration budget; it costs 10308178 units now.
-    with pytest.raises(BudgetExceededError, match="costs 10308178 units"):
-        brute_force_occupancy(OccupancyParams(215, 3, 1))
-    # 20000 * ceil(20000/1024) + 8 * 20000 + 1 = 560001 fits the default budget.
+    # Up to 1024 wagons an assignment costs one unit: 1024^2 + 2 = 1048578 fits a budget of its own size,
+    # and 1025 wagons cost 2 units an assignment, 2 * 1025^2 + 2 = 2101252.
+    assert brute_force_occupancy(OccupancyParams(1024, 2, 1), budget=1048578) == 1024
+    with pytest.raises(BudgetExceededError, match="costs 2101252 units, which exceeds the budget of 1048578$"):
+        brute_force_occupancy(OccupancyParams(1025, 2, 1), budget=1048578)
+    # 215^3 (4-word masks, about 1 s) fits the default budget: 9938375 assignments and 3 for the loops.
+    assert brute_force_occupancy(OccupancyParams(215, 3, 1)) == 215
+    # 20000 * ceil(20000/1024) + 1 = 400001 fits the default budget.
     assert brute_force_occupancy(OccupancyParams(20000, 1, 1)) == 20000
-    # With no passengers the one assignment sets no bit, whatever the width: 1 + 8 units.
-    assert brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=9) == 1
-    with pytest.raises(BudgetExceededError, match="costs 9 units, which exceeds the budget of 8$"):
-        brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=8)
+    # Where the tails outnumber the assignment units, each tail's pipeline costs 8: 1024 wagons and one
+    # passenger cost 8 * 1024 + 1 = 8193, 1025 wagons 8 * 1025 + 1 = 8201.
+    assert brute_force_occupancy(OccupancyParams(1024, 1, 1), budget=8193) == 1024
+    with pytest.raises(BudgetExceededError, match="costs 8201 units, which exceeds the budget of 8193$"):
+        brute_force_occupancy(OccupancyParams(1025, 1, 1), budget=8193)
+    # With no passengers the one assignment sets no bit, whatever the width; its one pipeline costs 8.
+    assert brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=8) == 1
+    with pytest.raises(BudgetExceededError, match="costs 8 units, which exceeds the budget of 7$"):
+        brute_force_occupancy(OccupancyParams(10**9, 0, 0), budget=7)
     # One wagon costs nothing per assignment, but its head and tail loops still take p steps.
-    message = "enumerating 1^100000000 assignments costs 100000009 units"
+    message = "enumerating 1^100000000 assignments costs 100000008 units"
     with pytest.raises(BudgetExceededError, match=re.escape(message)):
         brute_force_occupancy(OccupancyParams(1, 10**8, 1))
 
@@ -211,5 +216,22 @@ def test_budget_names_the_assignment_count_when_it_alone_exceeds():
     with pytest.raises(BudgetExceededError) as excinfo:
         brute_force_occupancy(OccupancyParams(100, 4, 3), budget=10**7)
     assert str(excinfo.value) == (
-        "enumerating 100^4 assignments costs 100080004 units, which exceeds the budget of 10000000"
+        "enumerating 100^4 assignments costs 100000004 units, which exceeds the budget of 10000000"
     )
+
+
+def test_an_enumeration_past_2_to_the_64_is_priced_without_building_n_to_the_p():
+    # 3^(10^9) has 477 million digits; its price keeps Decimal's 28 and the refusal comes at once.
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as excinfo:
+        brute_force_occupancy(OccupancyParams(3, 10**9, 0))
+    assert time.perf_counter() - start < 0.1
+    assert str(excinfo.value) == (
+        "enumerating 3^1000000000 assignments costs 5.243997032955288263560669589E+477121254 units, "
+        "which exceeds the budget of 10000000"
+    )
+    # Up to 2^64 the price is exact: 2^64 assignments and 64 for the loops, then 2^65 + 65.
+    with pytest.raises(BudgetExceededError, match="costs 18446744073709551680 units"):
+        brute_force_occupancy(OccupancyParams(2, 64, 0))
+    with pytest.raises(BudgetExceededError, match="costs 36893488147419103297 units"):
+        brute_force_occupancy(OccupancyParams(2, 65, 0))
