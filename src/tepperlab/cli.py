@@ -16,14 +16,12 @@ including the seed, produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import identities, numtheory, occupancy
 from .errors import DEFAULT_BUDGET, BudgetExceededError, InputError
@@ -50,8 +48,7 @@ TEXT = "text"
 JSON = "json"
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """A library report to print: its values are rendered only when a line is built."""
 
     report: IdentityReport
@@ -273,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(rows: Sequence[ReportRow], output_format: str, summary: str | None) -> int:
     # Every line is built before any is written, so a failure while rendering leaves stdout empty.
     if output_format == JSON:
+        import json  # here, so that text output does not pay for its import
         lines = [json.dumps(row.json_object(), separators=(",", ":")) for row in rows]
     else:
         lines = [row.text_line() for row in rows]

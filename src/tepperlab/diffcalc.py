@@ -23,7 +23,6 @@ evaluated baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2(1),
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -32,18 +31,17 @@ from .exact import alternating_binomials, product_cost, row_cost
 from .poly import Polynomial, Scalar, as_fraction
 
 
-@dataclass(frozen=True)
 class DifferenceParams:
     """Order n of the alternating sum and shift step l >= 1."""
 
-    order: int
-    step: int = 1
+    __slots__ = ("order", "step")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, step: int = 1) -> None:
+        if order < 0:
             raise InputError("order must be >= 0")
-        if self.step < 1:
+        if step < 1:
             raise InputError("step must be >= 1")
+        self.order, self.step = order, step
 
 
 def backward_difference(p: Polynomial, step: int = 1) -> Polynomial:

@@ -16,10 +16,8 @@ Each then prices its work against its ``budget`` once, before it builds anything
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import numtheory, occupancy
 from .diffcalc import DifferenceParams, alternating_sum_numeric, alternating_sum_symbolic, sum_cost
@@ -28,8 +26,13 @@ from .exact import alternating_binomials, factorial, product_cost, row_cost
 from .parser import _render_rational, render_polynomial
 from .poly import Polynomial, Scalar, as_fraction
 
+if TYPE_CHECKING:
+    import random
+
 SYMBOLIC = "symbolic"
 NUMERIC = "numeric"
+
+_INSTANCE_COST = 1000  # units for each sweep instance beyond its sum: its draw, render, report and CLI line
 
 TEPPER = "tepper"
 LEMMA_VANISHING = "lemma_vanishing"
@@ -50,8 +53,7 @@ IDENTITY_NAMES = (
 Value = Union[int, Fraction, Polynomial, str, None]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_name: str
     parameters: str
     claimed: Value
@@ -250,14 +252,16 @@ def sweep_conjecture(
     Degrees run 1..max_degree (degree 0 only when max_degree = 0), steps run
     1..max_step, with ``trials`` random polynomials per pair.  Reports come
     back in (degree, step, trial) order, deterministically for a given seed.
-    It is priced as its instances times the costliest one, of 20-bit coefficients.
+    It is priced as its instances times the costliest one, of 20-bit coefficients, plus ``_INSTANCE_COST`` each.
     """
     if max_degree < 0 or max_step < 0 or trials < 0:
         raise InputError("sweep bounds must be >= 0")
     if max_step < 1 or trials < 1:
         raise InputError(f"max_step = {max_step} and trials = {trials} check nothing; the sweep needs both >= 1")
-    cost = max(max_degree, 1) * max_step * trials * sum_cost(max_degree, 20, DifferenceParams(max_degree, max_step))
+    instance_cost = sum_cost(max_degree, 20, DifferenceParams(max_degree, max_step)) + _INSTANCE_COST
+    cost = max(max_degree, 1) * max_step * trials * instance_cost
     check_budget(cost, budget, f"the sweep to degree {max_degree} and step {max_step}, {trials} trials each")
+    import random  # here, so that no other command pays for its import
     rng = random.Random(seed)
     degrees = range(0, 1) if max_degree == 0 else range(1, max_degree + 1)
     reports = []
@@ -266,9 +270,6 @@ def sweep_conjecture(
             for trial in range(trials):
                 p = random_polynomial(rng, degree)
                 report = verify_conjecture(p, step, mode=SYMBOLIC, budget=budget)
-                report = replace(
-                    report,
-                    parameters=f"degree={degree} step={step} trial={trial} " + report.parameters,
-                )
-                reports.append(report)
+                parameters = f"degree={degree} step={step} trial={trial} {report.parameters}"
+                reports.append(report._replace(parameters=parameters))
     return reports

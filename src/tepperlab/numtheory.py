@@ -17,7 +17,6 @@ The three routes to (p-1)! mod p:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DEFAULT_BUDGET, InputError, check_budget
@@ -30,23 +29,22 @@ ROUTE_FERMAT = "fermat_reduced_sum"
 WILSON_ROUTES = ("naive", "tepper", "fermat")
 
 
-@dataclass(frozen=True)
 class ModularCheck:
     """One residue computation against its expected value."""
 
-    modulus: int
-    computed_residue: int
-    expected_residue: int
-    route: str
+    __slots__ = ("modulus", "computed_residue", "expected_residue", "route")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
+    def __init__(self, modulus: int, computed_residue: int, expected_residue: int, route: str) -> None:
+        if modulus < 2:
             raise InputError("modulus must be >= 2")
         # Every route reduces mod the modulus, so a residue out of range is a
         # defect in the route, not a bad input.
-        for residue in (self.computed_residue, self.expected_residue):
-            if not 0 <= residue < self.modulus:
-                raise AssertionError(f"residue {residue} outside [0, {self.modulus})")
+        for residue in (computed_residue, expected_residue):
+            if not 0 <= residue < modulus:
+                raise AssertionError(f"residue {residue} outside [0, {modulus})")
+        self.modulus, self.computed_residue, self.expected_residue, self.route = (
+            modulus, computed_residue, expected_residue, route
+        )
 
     @property
     def passed(self) -> bool:

@@ -19,28 +19,23 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from decimal import MAX_EMAX, Context, Decimal, localcontext
 
 from .errors import DEFAULT_BUDGET, InputError, check_budget
 from .exact import alternating_binomials, binomial, product_cost, row_cost
 
 
-@dataclass(frozen=True)
 class OccupancyParams:
     """n wagons, p passengers, and the target count r of occupied wagons."""
 
-    wagons: int
-    passengers: int
-    occupied: int
+    __slots__ = ("wagons", "passengers", "occupied")
 
-    def __post_init__(self) -> None:
-        if self.wagons < 0 or self.passengers < 0 or self.occupied < 0:
+    def __init__(self, wagons: int, passengers: int, occupied: int) -> None:
+        if wagons < 0 or passengers < 0 or occupied < 0:
             raise InputError("wagons, passengers, and occupied must be >= 0")
-        if self.occupied > self.wagons:
-            raise InputError(
-                f"occupied ({self.occupied}) must not exceed wagons ({self.wagons})"
-            )
+        if occupied > wagons:
+            raise InputError(f"occupied ({occupied}) must not exceed wagons ({wagons})")
+        self.wagons, self.passengers, self.occupied = wagons, passengers, occupied
 
 
 def surjection_count(onto: int, domain: int) -> int:

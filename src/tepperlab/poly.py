@@ -11,7 +11,7 @@ denominator, a_i = m_i / d, kept canonical: d > 0, gcd(m_0, ..., m_n, d) = 1
 and m_n != 0 (the zero polynomial is no numerators over d = 1).  Shift,
 dilation, scale, sum, difference and Horner evaluation all run on these
 integers; the tuple of reduced ``Fraction``s is built only when
-``coefficients`` is read.
+``coefficients`` is first read, and then kept.
 
 ``dilate(f)`` is P(f*x).  ``shift`` has one synthetic-division loop, the
 unit shift, which needs only subtractions; any other offset t runs as
@@ -23,7 +23,6 @@ the kernel, and fusing rounds saves most of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap, zip_longest
 from math import gcd, lcm
@@ -44,42 +43,38 @@ def as_fraction(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-class _Coefficients:
-    """The ``coefficients`` field: default ``()``; on a polynomial built from
-    integers, the reduced ``Fraction``s m_i / d, computed once and cached."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return ()
-        d = instance._denominator
-        coeffs = tuple(Fraction(m, d) for m in instance._numerators)
-        instance.__dict__["coefficients"] = coeffs
-        return coeffs
-
-
-@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Immutable dense polynomial; coefficient i multiplies x**i."""
 
-    coefficients: tuple[Fraction, ...] = _Coefficients()
+    __slots__ = ("_numerators", "_denominator", "_coefficients")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if type(c) is Fraction else as_fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[Scalar, ...] = ()) -> None:
+        self.__post_init__(coefficients)  # perfbench/tracer.py wraps this name as poly.construct, a required layer
+
+    def __post_init__(self, coefficients: tuple[Scalar, ...]) -> None:
+        coeffs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
         # d is the lcm of the reduced denominators, so gcd(m_i..., d) = 1.
         d = lcm(*(c.denominator for c in coeffs))
-        object.__setattr__(self, "_numerators", tuple(c.numerator * (d // c.denominator) for c in coeffs))
-        object.__setattr__(self, "_denominator", d)
+        self._numerators = tuple(c.numerator * (d // c.denominator) for c in coeffs)
+        self._denominator = d
+        self._coefficients = coeffs
 
     @classmethod
     def _from_integers(cls, numerators: tuple[int, ...], denominator: int) -> "Polynomial":
         """The polynomial sum(m_i x^i) / d from numerators already in canonical form."""
         p = object.__new__(cls)
-        object.__setattr__(p, "_numerators", numerators)
-        object.__setattr__(p, "_denominator", denominator)
+        p._numerators, p._denominator, p._coefficients = numerators, denominator, None
         return p
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The reduced ``Fraction``s m_i / d, lowest degree first, built once on the first read."""
+        if self._coefficients is None:
+            d = self._denominator
+            self._coefficients = tuple(Fraction(m, d) for m in self._numerators)
+        return self._coefficients
 
     @classmethod
     def _reduced(cls, numerators: list[int], denominator: int) -> "Polynomial":
@@ -135,6 +130,9 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self._numerators, self._denominator))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coefficients={self.coefficients!r})"
 
     def evaluate(self, point: Scalar) -> Fraction:
         """P(point) by Horner's scheme, exact.

@@ -789,12 +789,17 @@ REFUSALS = [
     (["general", "--poly", "x^1000"], f"the symbolic sum of order 1000 at degree 1000 costs 315237600 {_UNITS}"),
     (
         ["sweep", "--max-degree", "200", "--max-step", "200", "--trials", "100"],
-        f"the sweep to degree 200 and step 200, 100 trials each costs 7386676000000 {_UNITS}",
+        f"the sweep to degree 200 and step 200, 100 trials each costs 7390676000000 {_UNITS}",
+    ),
+    # Admitted at 9,200,000 units before each instance's draw, report and line were priced: it ran 8.8 s.
+    (
+        ["sweep", "--max-degree", "1", "--max-step", "80000", "--trials", "1"],
+        f"the sweep to degree 1 and step 80000, 1 trials each costs 89200000 {_UNITS}",
     ),
     (
         ["sweep", "--max-degree", "1000000", "--max-step", "1000000", "--trials", "1000000"],
         "the sweep to degree 1000000 and step 1000000, 1000000 trials each costs "
-        f"73746301375154984129000000000000000000 {_UNITS}",
+        f"73746301375154985129000000000000000000 {_UNITS}",
     ),
     (
         ["occupancy", "--wagons", "100000", "--passengers", "100000", "--occupied", "50000"],
@@ -862,8 +867,8 @@ BOUNDARIES = [
     ("wilson --p 997 --route fermat", "wilson --p 998 --route fermat", 10740,
      "the fermat route at p = 998 costs 10758"),
     ("wilson --upto 100", "wilson --upto 101", 5000, "the naive route for every n <= 101 costs 5100"),
-    ("sweep --max-degree 5 --max-step 2 --trials 2", "sweep --max-degree 6 --max-step 2 --trials 2", 9820,
-     "the sweep to degree 6 and step 2, 2 trials each costs 15096"),
+    ("sweep --max-degree 5 --max-step 2 --trials 2", "sweep --max-degree 6 --max-step 2 --trials 2", 29820,
+     "the sweep to degree 6 and step 2, 2 trials each costs 39096"),
 ]
 
 

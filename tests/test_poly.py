@@ -325,11 +325,17 @@ def test_operations_round_trip_to_the_same_polynomial(p, q, offset, d):
 
 @given(small_polynomials, small_polynomials, scalars)
 def test_equal_polynomials_hash_equal_and_repr_alike(p, q, offset):
+    half = Polynomial((Fraction(1, 2), Fraction(-3)))
+    assert repr(half) == "Polynomial(coefficients=(Fraction(1, 2), Fraction(-3, 1)))"
+    assert repr(half.shift(1)) == "Polynomial(coefficients=(Fraction(7, 2), Fraction(-3, 1)))"
     for result in (p + q, p - q, -p, p.scale(offset), p.shift(offset)):
-        rebuilt = Polynomial(result.coefficients)
+        rebuilt = Polynomial(coefficients=result.coefficients)
         assert result == rebuilt
         assert hash(result) == hash(rebuilt)
-        assert repr(result) == repr(rebuilt)
+        assert repr(result) == repr(rebuilt) == f"Polynomial(coefficients={result.coefficients!r})"
+        for polynomial in (result, rebuilt):  # built from integers and from coefficients: both read-only
+            with pytest.raises(AttributeError):
+                polynomial.coefficients = ()
 
 
 def test_distinct_polynomials_differ():

@@ -49,6 +49,17 @@ def test_the_module_run_as_a_process_matches_main(monkeypatch, argv, expected):
         assert (process.stdout, process.stderr) == (out.getvalue(), err.getvalue())
 
 
+def test_a_cold_cli_start_loads_no_module_that_no_command_needs():
+    # dataclasses pulls in inspect; json serves --format json only, and random the sweep only.
+    # -S leaves site-packages out: a .pth file there may import random (through tempfile) on its own.
+    code = (
+        "import sys; sys.path.insert(0, 'src'); import tepperlab.cli; tepperlab.cli.build_parser(); "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'random'} & sys.modules.keys()))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 @pytest.mark.parametrize("output_format", ["text", "json"])
 def test_run_demo(output_format):
     result = run_script("scripts/run_demo.py", "--format", output_format)
