@@ -62,13 +62,8 @@ class IdentityReport(NamedTuple):
     witness: Polynomial | None = None
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (NUMERIC, SYMBOLIC):
-        raise InputError(f"mode must be '{NUMERIC}' or '{SYMBOLIC}', not {mode!r}")
-
-
 def _step_sum_report(
-    name: str, parameters: str, p: Polynomial | None, order: int, step: int, x: Fraction, mode: str, budget: int
+    name: str, parameters: str, p: Polynomial | None, order: int, step: int, x: Scalar, mode: str, budget: int
 ) -> IdentityReport:
     """The paper's theorem for one instance, symbolically or at x.
 
@@ -77,7 +72,11 @@ def _step_sum_report(
     coefficient of P (zero when deg P < order).  Tepper's identity, the
     vanishing lemma, the generalized identity and the step-l identity are
     all instances of this one claim.  P = None is x^order, built once priced.
+    The mode and then the point are checked here, after each builder's own arguments.
     """
+    if mode not in (NUMERIC, SYMBOLIC):
+        raise InputError(f"mode must be '{NUMERIC}' or '{SYMBOLIC}', not {mode!r}")
+    x = as_fraction(x)
     params = DifferenceParams(order=order, step=step)
     degree, bits = (order, 1) if p is None else (p.degree, p.bit_length)
     cost = sum_cost(degree, bits, params, None if mode == SYMBOLIC else x)
@@ -98,49 +97,42 @@ def verify_tepper(n: int, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEF
 
     n = 0 is allowed: the sum is the single term (x-0)^0 = 1 = 0!.
     """
-    _check_mode(mode)
     if n < 0:
         raise InputError("n must be >= 0")
-    return _step_sum_report(TEPPER, f"n={n}", None, n, 1, as_fraction(x), mode, budget)
+    return _step_sum_report(TEPPER, f"n={n}", None, n, 1, x, mode, budget)
 
 
 def verify_lemma(
     p: Polynomial, n: int, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET
 ) -> IdentityReport:
     """The order-n alternating sum annihilates any polynomial of degree < n."""
-    _check_mode(mode)
-    xf = as_fraction(x)
     if n < 0:
         raise InputError("n must be >= 0")
     if not p.degree < n:
         raise InputError(f"degree not less than n (deg P = {p.degree}, n = {n})")
-    return _step_sum_report(LEMMA_VANISHING, f'poly="{render_polynomial(p)}" n={n}', p, n, 1, xf, mode, budget)
+    return _step_sum_report(LEMMA_VANISHING, f'poly="{render_polynomial(p)}" n={n}', p, n, 1, x, mode, budget)
 
 
 def verify_generalized(
     p: Polynomial, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET
 ) -> IdentityReport:
     """For deg P = n, the order-n alternating sum is the constant a_n * n!."""
-    _check_mode(mode)
-    xf = as_fraction(x)
     if p.is_zero():
         raise InputError("zero polynomial has no degree or leading coefficient")
     parameters = f'poly="{render_polynomial(p)}" n={p.degree}'
-    return _step_sum_report(GENERALIZED_TEPPER, parameters, p, p.degree, 1, xf, mode, budget)
+    return _step_sum_report(GENERALIZED_TEPPER, parameters, p, p.degree, 1, x, mode, budget)
 
 
 def verify_conjecture(
     p: Polynomial, l: int, x: Scalar = 0, mode: str = SYMBOLIC, budget: int = DEFAULT_BUDGET
 ) -> IdentityReport:
     """With shifts x - l*k the order-n sum is the constant a_n * l^n * n!."""
-    _check_mode(mode)
-    xf = as_fraction(x)
     if l < 1:
         raise InputError("step l must be >= 1")
     if p.is_zero():
         raise InputError("zero polynomial has no degree or leading coefficient")
     parameters = f'poly="{render_polynomial(p)}" l={l} n={p.degree}'
-    return _step_sum_report(CONJECTURE_STEP_L, parameters, p, p.degree, l, xf, mode, budget)
+    return _step_sum_report(CONJECTURE_STEP_L, parameters, p, p.degree, l, x, mode, budget)
 
 
 def verify_via_expansion(n: int, x: Scalar = 0, budget: int = DEFAULT_BUDGET) -> IdentityReport:

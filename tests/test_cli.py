@@ -1,13 +1,18 @@
 """CLI surface: text/JSON formats, exit codes, determinism, env overrides."""
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tepperlab import alternating_binomials, cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -663,10 +668,10 @@ def test_occupancy_disagreement_fails_and_shows_the_oracle(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "route, units_997, units_1009", [("tepper", 20710, 21054), ("fermat", 10740, 10964)], ids=["tepper", "fermat"]
+    "route, units_997, units_1009", [("tepper", 15543, 15762), ("fermat", 5573, 5672)], ids=["tepper", "fermat"]
 )
 def test_wilson_sum_routes_are_priced_at_p_squared_steps(capsys, route, units_997, units_1009):
-    # Both routes build the row of p - 1, about p^2/128 units: of two neighbouring primes the
+    # Both routes build the row of p - 1, about p^2/384 units: of two neighbouring primes the
     # smaller fits a budget of its own price and the larger does not.
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "wilson", "--p", "1009", "--route", route, "--budget", str(units_997))
@@ -783,13 +788,14 @@ def test_integer_options_take_a_sign_and_leading_zeros(capsys):
 
 
 # Inputs that each took well over a second before every command was priced (some ran out of memory),
-# with the message each now exits 3 with.  CI runs the same list as real processes.
+# with the message each now exits 3 with, as a process under a 2 GB address-space limit.
+ADDRESS_SPACE_LIMIT = 2_048_000_000  # bytes: ulimit -v 2000000
 _UNITS = "units, which exceeds the budget of 10000000"
 REFUSALS = [
-    (["general", "--poly", "x^1000"], f"the symbolic sum of order 1000 at degree 1000 costs 315237600 {_UNITS}"),
+    (["general", "--poly", "x^1000"], f"the symbolic sum of order 1000 at degree 1000 costs 315232392 {_UNITS}"),
     (
         ["sweep", "--max-degree", "200", "--max-step", "200", "--trials", "100"],
-        f"the sweep to degree 200 and step 200, 100 trials each costs 7390676000000 {_UNITS}",
+        f"the sweep to degree 200 and step 200, 100 trials each costs 7389844000000 {_UNITS}",
     ),
     # Admitted at 9,200,000 units before each instance's draw, report and line were priced: it ran 8.8 s.
     (
@@ -799,47 +805,57 @@ REFUSALS = [
     (
         ["sweep", "--max-degree", "1000000", "--max-step", "1000000", "--trials", "1000000"],
         "the sweep to degree 1000000 and step 1000000, 1000000 trials each costs "
-        f"73746301375154985129000000000000000000 {_UNITS}",
+        f"73746301369946651795000000000000000000 {_UNITS}",
     ),
     (
         ["occupancy", "--wagons", "100000", "--passengers", "100000", "--occupied", "50000"],
-        f"occupancy wagons=100000 passengers=100000 occupied=50000 costs 54558662012 {_UNITS}",
+        f"occupancy wagons=100000 passengers=100000 occupied=50000 costs 54545641178 {_UNITS}",
     ),
     (
         ["powersum", "--n", "2000", "--p", "20000"],
-        f"the power sum of order 2000 and power 20000 costs 71813250 {_UNITS}",
+        f"the power sum of order 2000 and power 20000 costs 71792416 {_UNITS}",
     ),
     # The closed form of one occupied wagon is cheap at any p; 2^(10^9) is priced without being built.
     (
         ["occupancy", "--wagons", "2", "--passengers", "1000000000", "--occupied", "1", "--oracle"],
         f"enumerating 2^1000000000 assignments costs 4.612976001169069393116119221E+301029995 {_UNITS}",
     ),
-    (["tepper", "--n", "20", "--x", "9" * 20000], f"the numeric sum of order 20 at degree 20 costs 294185852 {_UNITS}"),
+    (["tepper", "--n", "20", "--x", "9" * 20000], f"the numeric sum of order 20 at degree 20 costs 294185850 {_UNITS}"),
     (
         ["tepper", "--n", "1000000000"],
-        f"the symbolic sum of order 1000000000 at degree 1000000000 costs 1250687284935444875787258301069 {_UNITS}",
+        f"the symbolic sum of order 1000000000 at degree 1000000000 costs 1250687284935439667453924967735 {_UNITS}",
     ),
     (
         ["lemma", "--poly", "x", "--n", "1000000000"],
-        f"the symbolic sum of order 1000000000 at degree 1 costs 12695428767673048 {_UNITS}",
+        f"the symbolic sum of order 1000000000 at degree 1 costs 7487095434339714 {_UNITS}",
     ),
-    (["expansion", "--n", "1000000"], f"the expansion of order 1000000 costs 26857034670500000 {_UNITS}"),
+    (["expansion", "--n", "1000000"], f"the expansion of order 1000000 costs 26857029462166666 {_UNITS}"),
     # 600 digits, not 4,000: an --l past the int/str digit limit (640 at its lowest) is a usage error.
     (
         ["conjecture", "--poly", "x^100", "--l", "9" * 600],
-        f"the symbolic sum of order 100 at degree 100 costs 29678351 {_UNITS}",
+        f"the symbolic sum of order 100 at degree 100 costs 29678299 {_UNITS}",
     ),
-    (["wilson", "--p", "100003", "--route", "tepper"], f"the tepper route at p = 100003 costs 99528766 {_UNITS}"),
+    (["wilson", "--p", "100003", "--route", "tepper"], f"the tepper route at p = 100003 costs 47443349 {_UNITS}"),
 ]
 
 
+def _limit_address_space():
+    import resource  # POSIX only, so imported in the Linux child alone
+
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
 @pytest.mark.parametrize("argv, message", REFUSALS, ids=[" ".join(argv)[:40] for argv, _ in REFUSALS])
-def test_costly_inputs_are_refused_at_once_by_the_default_budget(capsys, monkeypatch, argv, message):
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+def test_costly_inputs_exit_3_at_once_as_memory_limited_processes(argv, message):
+    # A price computed after a large allocation dies in the child (MemoryError, exit 4), never in pytest.
+    limit = _limit_address_space if sys.platform == "linux" else None
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
-    assert (code, out, err) == (3, "", f"BUDGET-EXCEEDED {message}\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "tepperlab.cli", *argv],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"), preexec_fn=limit, capture_output=True, text=True, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0  # interpreter start included
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", f"BUDGET-EXCEEDED {message}\n")
 
 
 # For each price, at a budget of one input's own price: that input runs, and the next one up is refused.
@@ -847,25 +863,25 @@ def test_costly_inputs_are_refused_at_once_by_the_default_budget(capsys, monkeyp
 _NINES = {"x200": "9" * 200, "x201": "9" * 201, "l100": "9" * 100, "l101": "9" * 101}
 BOUNDARIES = [
     ("tepper --n 10", "tepper --n 11", 1473, "the symbolic sum of order 11 at degree 11 costs 1775"),
-    ("tepper --n 20 --x x200", "tepper --n 20 --x x201", 122537,
-     "the numeric sum of order 20 at degree 20 costs 123860"),
+    ("tepper --n 20 --x x200", "tepper --n 20 --x x201", 122535,
+     "the numeric sum of order 20 at degree 20 costs 123858"),
     ("conjecture --poly x^10 --l l100", "conjecture --poly x^10 --l l101", 4278,
      "the symbolic sum of order 10 at degree 10 costs 4311"),
-    ("lemma --poly x --n 300", "lemma --poly x --n 301", 17327,
-     "the symbolic sum of order 301 at degree 1 costs 17386"),
-    ("expansion --n 30", "expansion --n 31", 1897, "the expansion of order 31 costs 2022"),
-    ("powersum --n 200 --p 401", "powersum --n 200 --p 402", 8112,
-     "the power sum of order 200 and power 402 costs 8312"),
+    ("lemma --poly x --n 300", "lemma --poly x --n 301", 16858,
+     "the symbolic sum of order 301 at degree 1 costs 16914"),
+    ("expansion --n 30", "expansion --n 31", 1892, "the expansion of order 31 costs 2017"),
+    ("powersum --n 200 --p 401", "powersum --n 200 --p 402", 7904,
+     "the power sum of order 200 and power 402 costs 8104"),
     ("occupancy --wagons 300 --passengers 401 --occupied 200", "occupancy --wagons 300 --passengers 402 --occupied 200",
-     8162, "occupancy wagons=300 passengers=402 occupied=200 costs 8362"),
+     7954, "occupancy wagons=300 passengers=402 occupied=200 costs 8154"),
     ("occupancy --wagons 1024 --passengers 2 --occupied 1 --oracle",
      "occupancy --wagons 1025 --passengers 2 --occupied 1 --oracle",
      1048578, "enumerating 1025^2 assignments costs 2101252"),
     ("wilson --p 1000", "wilson --p 1001", 1000, "the naive route at p = 1001 costs 1001"),
-    ("wilson --p 1000 --route tepper", "wilson --p 1001 --route tepper", 20795,
-     "the tepper route at p = 1001 costs 20824"),
-    ("wilson --p 997 --route fermat", "wilson --p 998 --route fermat", 10740,
-     "the fermat route at p = 998 costs 10758"),
+    ("wilson --p 1000 --route tepper", "wilson --p 1001 --route tepper", 15597,
+     "the tepper route at p = 1001 costs 15616"),
+    ("wilson --p 997 --route fermat", "wilson --p 998 --route fermat", 5573,
+     "the fermat route at p = 998 costs 5581"),
     ("wilson --upto 100", "wilson --upto 101", 5000, "the naive route for every n <= 101 costs 5100"),
     ("sweep --max-degree 5 --max-step 2 --trials 2", "sweep --max-degree 6 --max-step 2 --trials 2", 29820,
      "the sweep to degree 6 and step 2, 2 trials each costs 39096"),

@@ -4,8 +4,8 @@ Each line of ``cli_corpus.jsonl`` holds an argv and the sha256 of what
 ``cli.main`` gave for it: the exit code, stdout and stderr.  For an argparse
 usage error only the exit code is hashed, since CPython may reword its usage
 text between releases.  The argvs are frozen in the file: the ``cli_mix``
-benchmark requests for seeds 1-5, the ``run_demo.py`` commands and edge cases,
-in text and JSON.
+benchmark requests for seeds 1-5, the ``run_demo.py`` commands (a test checks
+that each keeps its lines) and edge cases, in text and JSON.
 
 A change that alters output on purpose rewrites the lines it changes; print a
 line for an argv with ``PYTHONPATH=src python tests/test_cli_corpus.py ARGV...``.
@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -37,12 +38,19 @@ def corpus_line(argv: list[str]) -> str:
     return json.dumps({"argv": argv, "sha256": outcome_digest(argv)})
 
 
-def test_cli_output_matches_the_committed_corpus(monkeypatch):
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+def test_cli_output_matches_the_committed_corpus():
     entries = [json.loads(line) for line in CORPUS.read_text().splitlines()]
     assert len(entries) >= 1700
     changed = [entry["argv"] for entry in entries if outcome_digest(entry["argv"]) != entry["sha256"]]
     assert not changed, f"{len(changed)} of {len(entries)} calls changed output, first: {changed[:5]}"
+
+
+def test_the_corpus_pins_every_run_demo_command_in_text_and_json():
+    showcase = runpy.run_path(str(CORPUS.parents[1] / "scripts" / "run_demo.py"))["SHOWCASE"]
+    wanted = [argv for command in showcase for argv in (command, [*command, "--format", "json"])]
+    pinned = {tuple(json.loads(line)["argv"]) for line in CORPUS.read_text().splitlines()}
+    missing = [argv for argv in wanted if tuple(argv) not in pinned]
+    assert not missing, f"run_demo.py commands with no corpus line: {missing}"
 
 
 if __name__ == "__main__":

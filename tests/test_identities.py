@@ -47,6 +47,7 @@ from tepperlab.identities import (
 
 _NO_LEADING = "zero polynomial has no degree or leading coefficient"
 _FLOAT = "float 1.5 is not an exact rational; pass int, Fraction, or 'num/den'"
+_MODE = "mode must be 'numeric' or 'symbolic', not 'approximate'"
 
 
 def expand_shifted(coeffs, c):
@@ -153,12 +154,13 @@ def test_conjecture_rejects_bad_inputs():
     "verify, args, message",
     [
         (verify_tepper, (-1,), "n must be >= 0"),
-        (verify_tepper, (2, 0, "approximate"), "mode must be 'numeric' or 'symbolic', not 'approximate'"),
+        (verify_tepper, (2, 0, "approximate"), _MODE),
         (verify_tepper, (2, 1.5), _FLOAT),
-        # Each builder checks in a fixed order: tepper and expansion n before the point,
-        # lemma the point before n, conjecture l before P.
+        # Each builder checks in a fixed order: its own arguments (conjecture l before P),
+        # then the mode, then the point.
         (verify_tepper, (-1, 1.5), "n must be >= 0"),
-        (verify_lemma, (Polynomial.monomial(1), -1, 1.5), _FLOAT),
+        (verify_lemma, (Polynomial.monomial(1), -1, 1.5), "n must be >= 0"),
+        (verify_generalized, (Polynomial.monomial(1), 1.5, "approximate"), _MODE),
         (verify_lemma, (Polynomial.monomial(1), -1), "n must be >= 0"),
         (verify_lemma, (Polynomial.monomial(3), 3), "degree not less than n (deg P = 3, n = 3)"),
         (verify_generalized, (Polynomial.zero(),), _NO_LEADING),
@@ -332,7 +334,7 @@ def test_wilson_report_refusals():
     with pytest.raises(BudgetExceededError, match=r"^the naive route at p = 10000001 costs 10000001 units, which"):
         verify_wilson(10000001)
     # The tepper and fermat routes build the row of p - 1: 1009 costs more than 997, whose price it is given.
-    for route, units_997, units_1009 in (("tepper", 20710, 21054), ("fermat", 10740, 10964)):
+    for route, units_997, units_1009 in (("tepper", 15543, 15762), ("fermat", 5573, 5672)):
         message = f"^the {route} route at p = 1009 costs {units_1009} units, which exceeds the budget of {units_997}$"
         with pytest.raises(BudgetExceededError, match=message):
             verify_wilson(1009, route, budget=units_997)

@@ -35,8 +35,7 @@ def run_script(*args: str) -> subprocess.CompletedProcess:
     ],
     ids=["exit-0-text", "exit-0-json", "exit-1", "exit-2-input-error", "exit-2-usage", "exit-3-budget"],
 )
-def test_the_module_run_as_a_process_matches_main(monkeypatch, argv, expected):
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)  # run_script copies os.environ
+def test_the_module_run_as_a_process_matches_main(argv, expected):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
