@@ -41,14 +41,7 @@ CONJECTURE_STEP_L = "conjecture_step_l"
 POWER_SUM_ZERO = "power_sum_zero"
 POWER_SUM_FACTORIAL = "power_sum_factorial"
 
-IDENTITY_NAMES = (
-    TEPPER,
-    LEMMA_VANISHING,
-    GENERALIZED_TEPPER,
-    CONJECTURE_STEP_L,
-    POWER_SUM_ZERO,
-    POWER_SUM_FACTORIAL,
-)
+IDENTITY_NAMES = (TEPPER, LEMMA_VANISHING, GENERALIZED_TEPPER, CONJECTURE_STEP_L, POWER_SUM_ZERO, POWER_SUM_FACTORIAL)
 
 Value = Union[int, Fraction, Polynomial, str, None]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import starmap, zip_longest
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Union
 
 from .errors import InputError
@@ -222,6 +222,15 @@ class Polynomial:
         f = as_fraction(factor)
         p, q = f.numerator, f.denominator
         return Polynomial._reduced([m * p for m in self._numerators], self._denominator * q)
+
+    @classmethod
+    def _weighted_sum(cls, weights: list[int], terms: list["Polynomial"], powers: list[int] | None) -> "Polynomial":
+        """sum(w_r * T_r), coefficient i times powers[i] if given, for terms over one denominator: one gcd in all."""
+        if len({t._denominator for t in terms}) != 1:
+            raise AssertionError("the terms of a weighted sum must share one denominator")
+        columns = zip_longest(*(t._numerators for t in terms[: len(weights)]), fillvalue=0)
+        sums = [sum(map(mul, weights, column)) for column in columns]
+        return cls._reduced(sums if powers is None else list(map(mul, sums, powers)), terms[0]._denominator)
 
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other over the lcm of the two denominators; a side already over it is not rescaled."""

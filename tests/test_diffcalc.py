@@ -244,11 +244,14 @@ def test_backward_difference_at_steps_two_to_six_equals_fraction_reference():
 
 # Polynomials for the block structure: degree 40 with fractional coefficients,
 # so that every order 0..40 falls below, at or above the degree, and lower
-# degrees whose orders past the degree must vanish.
+# degrees whose orders past the degree must vanish.  The zero polynomial (no
+# numerators at all) and a constant run through every block of orders 15-40.
 BLOCK_POLYS = (
     Polynomial(tuple(Fraction((-1) ** i * (i + 2), i % 7 + 1) for i in range(41))),
     Polynomial(tuple(Fraction(3 * i - 20, i % 4 + 2) for i in range(25))),
     Polynomial.monomial(16, Fraction(-5, 3)),
+    Polynomial.zero(),
+    Polynomial.constant(Fraction(-7, 3)),
 )
 
 

@@ -411,3 +411,28 @@ def test_conjugated_shift_equals_fraction_reference(p):
         assert q.coefficients == reference_shift(p.coefficients, offset), offset
         assert_canonical_coefficients(q)
         assert q == Polynomial(q.coefficients)
+
+
+@given(small_polynomials)
+def test_unit_shift_keeps_the_denominator(p):
+    # The symbolic sum takes each block as one dot product over the baby steps' numerators, which relies on this.
+    assert p.shift(1)._denominator == p._denominator
+
+
+@given(polynomials(12), st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=8), st.integers(1, 9))
+def test_weighted_sum_equals_scale_and_add_then_dilate(p, weights, base):
+    # Five unit shifts of p share its denominator; weights longer or shorter than the terms stop at the shorter.
+    terms = [p]
+    while len(terms) < 5:
+        terms.append(terms[-1].shift(1))
+    expected = sum((t.scale(w) for w, t in zip(weights, terms)), Polynomial.zero()).dilate(base)
+    powers = None if base == 1 else [base**i for i in range(p.degree + 1)]
+    result = Polynomial._weighted_sum(weights, terms, powers)
+    assert result == expected
+    assert_canonical_integers(result)
+
+
+def test_weighted_sum_over_unequal_denominators_is_an_internal_error():
+    terms = [Polynomial((Fraction(1, 2), 1)), Polynomial((Fraction(1, 3), 1))]
+    with pytest.raises(AssertionError, match="share one denominator"):
+        Polynomial._weighted_sum([1, -1], terms, None)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -109,6 +110,13 @@ def test_verification_campaign_integer_options_use_the_cli_converters(argv, mess
     result = run_script("scripts/verification_campaign.py", *argv)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.endswith(f"error: {message}\n"), result.stderr
+
+
+def test_every_mutant_names_a_text_found_once_and_tests_that_exist():
+    # scripts/mutants.py runs in CI only; this keeps its list from going stale as the code changes.
+    for name, text, _replacement, tests in runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]:
+        assert (ROOT / "src" / "tepperlab" / name).read_text().count(text) == 1, (name, text)
+        assert all((ROOT / test.split("::")[0]).is_file() for test in tests), tests
 
 
 @pytest.mark.parametrize("workload", ["symbolic_highdeg", "cli_mix", "modular_counting"])
