@@ -25,6 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
 
+BOUNDARIES = "tests/test_cli.py::test_each_price_admits_an_input_at_its_own_price_and_refuses_the_next"
+
 # (file under src/tepperlab, exact text, replacement, tests that must fail)
 MUTANTS = [
     # The symbolic sum's blocks: the m^i factor, the weights of each block, the final dilation, the invariant check.
@@ -43,8 +45,20 @@ MUTANTS = [
      ["tests/test_cli.py::test_a_wrong_central_binomial_is_an_internal_error"]),
     ("identities.py", "claimed = a * step**order * factorial(order)", "claimed = a * step * factorial(order)",
      ["tests/test_identities.py"]),
-    ("errors.py", "if cost > budget:", "if cost >= budget:",
-     ["tests/test_cli.py::test_each_price_admits_an_input_at_its_own_price_and_refuses_the_next"]),
+    ("errors.py", "if cost > budget:", "if cost >= budget:", [BOUNDARIES]),
+    # The second routes and the renderer on integer numerators: the iterated route's cancelled top entry, the
+    # numeric route's spacing of its integer points, the Horner step at an int point, the sign of a later term.
+    ("diffcalc.py", "map(sub, c[:-1], _unit_shift(c))", "map(sub, c, _unit_shift(c))", ["tests/test_diffcalc.py"]),
+    ("diffcalc.py", "u - params.step * v * k", "u - params.step * k", ["tests/test_diffcalc.py"]),
+    ("poly.py", "result = result * point + m", "result = result * point - m", ["tests/test_poly.py"]),
+    ("parser.py", 'f"+ {body}" if m > 0 else f"- {body}"', 'f"+ {body}"', ["tests/test_parser.py"]),
+    # The prices, each moved without admitting anything large: the row dropped from the symbolic sum, the bits of x
+    # and of l ignored, and the oracle's tail pipeline summed with its assignments instead of maxed.
+    ("diffcalc.py", "return row_cost(n) + shifts", "return shifts", [BOUNDARIES]),
+    ("diffcalc.py", "point.numerator.bit_length() + point.denominator.bit_length() + ", "", [BOUNDARIES]),
+    ("diffcalc.py", "degree * (params.step.bit_length() + m.bit_length())", "degree * m.bit_length()", [BOUNDARIES]),
+    ("occupancy.py", "max(n**p * width, 8 * n ** (p - p // 2)) + p", "n**p * width + 8 * n ** (p - p // 2) + p",
+     [BOUNDARIES]),
 ]
 
 

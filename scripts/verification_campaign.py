@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Seeded large-scale verification campaign over every identity family.
 
-Runs the symbolic sweeps, the dual-path cross-check, the occupancy oracle
-grid, and the modular-route agreement at configurable bounds, then prints
-one summary line per family on stdout and its wall time on stderr.  Exits 1
-if anything fails.  The integer options go through the ``tepperlab`` CLI's
-converters, so a malformed or out-of-range value exits 2; so does a bound
-that leaves a block with nothing to check (``--trials 0``, ``--prime-bound 1``).
+Runs the symbolic sweeps, the dual-path cross-check (the iterated route, and
+the numeric route at a seeded rational x, against the symbolic sum), the
+occupancy oracle grid, and the modular-route agreement at configurable
+bounds, then prints one summary line per check on stdout and its wall time
+on stderr.  Exits 1 if anything fails.  The integer options go through the
+``tepperlab`` CLI's converters, so a malformed or out-of-range value exits 2;
+so does a bound that leaves a block with nothing to check (``--trials 0``,
+``--prime-bound 1``).
 
 Usage: python scripts/verification_campaign.py [--max-degree 12] [--max-step 8]
        [--trials 10] [--seed 0] [--prime-bound 200] [--occupancy-bound 6]
@@ -15,10 +17,12 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 
 from tepperlab import (
     DifferenceParams,
     OccupancyParams,
+    alternating_sum_numeric,
     alternating_sum_symbolic,
     identities,
     iterated_difference,
@@ -60,13 +64,20 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    agreements = 0
+    agreements = numeric_agreements = 0
+    numeric_s = 0.0
     instances = 1000
     for _ in range(instances):
         p = identities.random_polynomial(rng, rng.randint(0, args.max_degree))
         params = DifferenceParams(order=rng.randint(0, args.max_degree), step=rng.randint(1, args.max_step))
-        agreements += iterated_difference(p, params) == alternating_sum_symbolic(p, params)
-    all_ok &= banner("dual-path agreement", agreements, instances, time.perf_counter() - start)
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        symbolic = alternating_sum_symbolic(p, params)
+        agreements += iterated_difference(p, params) == symbolic
+        numeric_start = time.perf_counter()
+        numeric_agreements += alternating_sum_numeric(p, params, x) == symbolic.evaluate(x)
+        numeric_s += time.perf_counter() - numeric_start
+    all_ok &= banner("dual-path agreement", agreements, instances, time.perf_counter() - start - numeric_s)
+    all_ok &= banner("numeric-route agreement", numeric_agreements, instances, numeric_s)
 
     start = time.perf_counter()
     agree = total = 0

@@ -7,13 +7,16 @@ Two independent routes compute the same polynomial:
 * ``iterated_difference`` applies the step-l backward difference operator
   P(x) |-> P(x) - P(x - l) exactly n times.
 
+A third, ``alternating_sum_numeric``, sums the terms at one point, each P(x - l*k) by Horner's scheme.
+
 By the binomial theorem for commuting operators the two results agree
 coefficient-for-coefficient; that agreement is this package's central
 cross-validation and is asserted throughout the test suite.
 
-Both routes run in y = x/l: with S(y) = P(l*y), the term P(x - l*k) is
-S(y - k), so each route dilates P once, takes only unit shifts, which need
-no multiplication, and dilates the result back.
+Both polynomial routes run in y = x/l: with S(y) = P(l*y), the term P(x - l*k)
+is S(y - k), so each route dilates P once, takes only unit shifts, which need no
+multiplication, and dilates the result back.  In between, both work on the
+integer numerators of S over its one denominator.
 
 The symbolic sum is a polynomial of degree n in the unit shift E, so it is
 evaluated baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2(1),
@@ -25,11 +28,12 @@ difference or the factorization (1 - E)^n, so it stays independent of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt
+from operator import mul, sub
 
 from .errors import InputError
 from .exact import alternating_binomials, product_cost, row_cost
-from .poly import Polynomial, Scalar, as_fraction
+from .poly import Polynomial, Scalar, _unit_shift, as_fraction
 
 
 class DifferenceParams:
@@ -69,9 +73,11 @@ def sum_cost(degree: int, bits: int, params: DifferenceParams, point: Fraction |
 
     Both routes build the row and a polynomial or value of 50 units a term.  The symbolic route's 2*sqrt(n) shifts
     subtract and its terms scale coefficients that gain log2(l*m) bits a degree and the weights' n bits; each of the
-    numeric route's Horner steps multiplies by the point, so the values gain its bits a degree.  The symbolic price
-    still counts a scaled polynomial per term, so it over-counts the one-pass block sums: tepper --n 200, conjecture
-    --poly x^100 --l 3 and general --poly x^300 run at 0.53-0.66, 0.72-0.83 and 0.25-0.35 s per 10^7 units (2 vCPUs).
+    numeric route's Horner steps multiplies by the point, so the values gain its bits a degree.  Both prices
+    over-count.  The symbolic one still counts a scaled polynomial per term of its one-pass block sums: tepper --n 200,
+    conjecture --poly x^100 --l 3 and general --poly x^300 run at 0.53-0.66, 0.72-0.83 and 0.25-0.35 s per 10^7 units.
+    The numeric one is unchanged since its terms moved onto integer points over one denominator: tepper --n 400 --x
+    7/3 and tepper --n 500 --x 1/1000003 run at 0.16 and 0.18 s per 10^7 units, 0.22 and 0.41 before (2 vCPUs).
     """
     n, degree = params.order, max(degree, 0)  # the zero polynomial is priced as a constant
     d = degree + 1
@@ -107,24 +113,25 @@ def alternating_sum_symbolic(p: Polynomial, params: DifferenceParams) -> Polynom
 
 
 def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scalar) -> Fraction:
-    """The same alternating sum evaluated pointwise, term by term.
-
-    Independent of the symbolic route: each term is P evaluated at
-    point - l*k by Horner's scheme, not a coefficient of a shifted
-    polynomial.  The weighted values are summed as integers over the lcm of
-    their denominators, so one ``Fraction`` is reduced at the end, not one
-    per product and per partial sum.
-    """
+    """The same alternating sum evaluated pointwise, term by term: each term is P by Horner's scheme at its own point,
+    never a coefficient of a shifted polynomial, so the route is independent of the symbolic one.  The points
+    (u - l*k*v)/v share the denominator v, so Q(y) = P(y/v) is built once and its numerators are evaluated, over
+    denominator 1, at the integers u - l*k*v; the weighted values are summed over Q's denominator, one ``Fraction``."""
     x = as_fraction(point)
-    weights = alternating_binomials(params.order)
-    values = [p.evaluate(x - params.step * k) for k in range(len(weights))]
-    d = lcm(*(v.denominator for v in values))
-    return Fraction(sum(w * v.numerator * (d // v.denominator) for w, v in zip(weights, values)), d)
+    u, v = x.numerator, x.denominator
+    q = p.dilate(Fraction(1, v))
+    cleared = Polynomial._from_integers(q._numerators, 1)  # Q times its denominator
+    values = [cleared.evaluate(u - params.step * v * k).numerator for k in range(params.order + 1)]
+    return Fraction(sum(map(mul, alternating_binomials(params.order), values)), q._denominator)
 
 
 def iterated_difference(p: Polynomial, params: DifferenceParams) -> Polynomial:
-    """backward_difference applied ``order`` times with the given step."""
-    result = p.dilate(params.step)
-    for _ in range(params.order):
-        result = backward_difference(result)
-    return result.dilate(Fraction(1, params.step))
+    """The step-l backward difference applied ``order`` times, on integer numerators: in y = x/l each step subtracts
+    the unit shift S(y - 1) from S(y) and drops the top entry, which cancels.  The new top is deg(S) times the old
+    one, so the list never ends in zero, and after deg(S) + 1 steps it is empty.  One gcd reduces the result."""
+    s = p.dilate(params.step)
+    c = s._numerators
+    for _ in range(min(params.order, len(c))):
+        c = list(map(sub, c[:-1], _unit_shift(c)))  # S and S(y - 1) share their leading coefficient
+    g = gcd(s._denominator, *c)
+    return Polynomial._from_integers(tuple(m // g for m in c), s._denominator // g).dilate(Fraction(1, params.step))

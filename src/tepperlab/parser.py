@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import NoReturn
 
 from .errors import InputError
@@ -144,31 +145,28 @@ def parse_polynomial(source: str, degree_cap: int = DEFAULT_DEGREE_CAP) -> Polyn
 
 def _render_rational(value: int | Fraction) -> str:
     """An int or Fraction of any size as "num/den", or "num" when den = 1, through Decimal."""
-    numerator = str(Decimal(value.numerator))
-    return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
+    return _render_ratio(value.numerator, value.denominator)
 
 
-def _term_body(magnitude: Fraction, power: int) -> str:
-    if power == 0:
-        return _render_rational(magnitude)
-    var = "x" if power == 1 else f"x^{power}"
-    if magnitude == 1:
-        return var
-    return f"{_render_rational(magnitude)}*{var}"
+def _render_ratio(numerator: int, denominator: int) -> str:
+    text = str(Decimal(numerator))
+    return text if denominator == 1 else f"{text}/{Decimal(denominator)}"
 
 
 def render_polynomial(polynomial: Polynomial) -> str:
-    """Canonical descending-degree rendering, reparsed exactly by parse_polynomial."""
-    if polynomial.is_zero():
-        return "0"
-    parts: list[str] = []
-    for power in range(len(polynomial.coefficients) - 1, -1, -1):
-        c = polynomial.coefficients[power]
-        if c == 0:
+    """Canonical descending-degree rendering, reparsed exactly by parse_polynomial; each m/d reduced by gcd(m, d)."""
+    d, parts = polynomial._denominator, []
+    for power in range(polynomial.degree, -1, -1):
+        m = polynomial._numerators[power]
+        if not m:
             continue
-        body = _term_body(abs(c), power)
+        g = gcd(m, d)
+        body = _render_ratio(abs(m) // g, d // g)
+        if power:
+            var = "x" if power == 1 else f"x^{power}"
+            body = var if body == "1" else f"{body}*{var}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if m > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            parts.append(f"+ {body}" if m > 0 else f"- {body}")
+    return " ".join(parts) or "0"

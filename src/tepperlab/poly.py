@@ -14,7 +14,8 @@ integers; the tuple of reduced ``Fraction``s is built only when
 ``coefficients`` is first read, and then kept.
 
 ``dilate(f)`` is P(f*x).  ``shift`` has one synthetic-division loop, the
-unit shift, which needs only subtractions; any other offset t runs as
+unit shift ``_unit_shift`` over a list of numerators, which needs only
+subtractions (``iterated_difference`` runs it too); any other offset t runs as
 ``dilate(t).shift(1).dilate(1/t)``.  The unit shift runs its n rounds four at
 a time, each group in one sweep over the coefficients.  That is loop blocking
 of the classical Taylor-shift loop (von zur Gathen & Gerhard, ISSAC 1997):
@@ -41,6 +42,36 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not an exact rational; pass int, Fraction, or 'num/den'")
     return Fraction(value)
+
+
+def _unit_shift(numerators: tuple[int, ...] | list[int]) -> list[int]:
+    """The numerators of S(y - 1) from those of a nonzero S(y): synthetic division by (y + 1), O(n^2) subtractions.
+    Round i runs carry = c[j] = c[j] - carry for j = n-1 down to i.  Rounds i..i+3 run in one descending sweep, each
+    with its own carry, so that every entry is loaded and stored once per four rounds; each round still makes the same
+    subtractions in the same order.  The last n mod 4 rounds run one per sweep.  Four rounds per sweep is fixed: two
+    save less, and eight save little more for twice the code."""
+    c = list(numerators)
+    n = len(c) - 1
+    top, i = c[n], 0
+    while i + 4 <= n:  # the carries a, b, e, f of rounds i, i+1, i+2, i+3
+        a = b = e = f = top
+        for j in range(n - 1, i + 2, -1):
+            a = c[j] - a
+            b = a - b
+            e = b - e
+            c[j] = f = e - f
+        a = c[i + 2] - a  # round i + r stops at j = i + r
+        b = a - b
+        c[i + 2] = b - e
+        a = c[i + 1] - a
+        c[i + 1] = a - b
+        c[i] -= a
+        i += 4
+    for i in range(i, n):  # the last n mod 4 rounds, one sweep each
+        carry = top
+        for j in range(n - 1, i - 1, -1):
+            carry = c[j] = c[j] - carry
+    return c
 
 
 class Polynomial:
@@ -137,34 +168,28 @@ class Polynomial:
     def evaluate(self, point: Scalar) -> Fraction:
         """P(point) by Horner's scheme, exact.
 
-        At point u/v the scheme runs over the stored integers:
-        P(u/v) = sum(m_i * u^i * v^(n-i)) / (d * v^n).
+        At point u/v it runs over the stored integers: P(u/v) = sum(m_i * u^i * v^(n-i)) / (d * v^n).
+        At an ``int`` point each step is one product and one sum.
         """
+        if type(point) is int:
+            result = 0
+            for m in reversed(self._numerators):
+                result = result * point + m
+            return Fraction(result, self._denominator)
         x = as_fraction(point)
-        if not self._numerators:
-            return Fraction(0)
         u, v = x.numerator, x.denominator
         result, v_power = 0, 1
         for m in reversed(self._numerators):
             result = result * u + m * v_power
             v_power *= v
-        return Fraction(result, self._denominator * v**self.degree)
+        return Fraction(result, self._denominator * v ** max(self.degree, 0))
 
     def shift(self, offset: Scalar) -> "Polynomial":
         """The polynomial Q with Q(x) = P(x - offset).
 
-        The unit shift is repeated synthetic division by (x + 1) on the
-        integer numerators: O(deg^2) subtractions and no multiplication.  It
+        The unit shift runs ``_unit_shift`` on the integer numerators.  It
         keeps the gcd of the numerators, so its result is canonical as it
-        stands.  Round i runs carry = c[j] = c[j] - carry for j = n-1 down to
-        i.  Rounds i..i+3 run in one descending sweep, each with its own
-        carry, so that every coefficient is loaded and stored once per four
-        rounds; each round still makes the same subtractions in the same
-        order.  The last n mod 4 rounds run one per sweep.  Four rounds per
-        sweep is fixed: two save less, and eight save little more for twice
-        the code.
-
-        Any other offset t is the unit shift conjugated by a dilation:
+        stands.  Any other offset t is the unit shift conjugated by a dilation:
         P(x - t) = S(x/t - 1) with S = P.dilate(t).
         """
         t = offset if type(offset) is int else as_fraction(offset)
@@ -173,27 +198,7 @@ class Polynomial:
             return self
         if t != 1:
             return self.dilate(t).shift(1).dilate(Fraction(1, t))
-        c = list(self._numerators)
-        top, i = c[n], 0
-        while i + 4 <= n:  # the carries a, b, e, f of rounds i, i+1, i+2, i+3
-            a = b = e = f = top
-            for j in range(n - 1, i + 2, -1):
-                a = c[j] - a
-                b = a - b
-                e = b - e
-                c[j] = f = e - f
-            a = c[i + 2] - a  # round i + r stops at j = i + r
-            b = a - b
-            c[i + 2] = b - e
-            a = c[i + 1] - a
-            c[i + 1] = a - b
-            c[i] -= a
-            i += 4
-        for i in range(i, n):  # the last n mod 4 rounds, one sweep each
-            carry = top
-            for j in range(n - 1, i - 1, -1):
-                carry = c[j] = c[j] - carry
-        return Polynomial._from_integers(tuple(c), self._denominator)
+        return Polynomial._from_integers(tuple(_unit_shift(self._numerators)), self._denominator)
 
     def dilate(self, factor: Scalar) -> "Polynomial":
         """The polynomial Q with Q(x) = P(factor * x).

@@ -292,3 +292,27 @@ def test_blocked_sum_at_high_degree_is_leading_coefficient_times_step_power_fact
     assert alternating_sum_symbolic(p, DifferenceParams(order=degree, step=3)) == Polynomial.constant(expected)
     below = DifferenceParams(order=degree - 1, step=3)
     assert alternating_sum_symbolic(p, below) == iterated_difference(p, below)
+
+
+# Large denominators and numerators of either sign: every point x - l*k shares the denominator of x.
+LARGE_POINTS = {
+    f"{sign}({numerator_label})/({denominator_label})": Fraction(int(f"{sign}1") * numerator, denominator)
+    for denominator_label, denominator in (("10^30+7", 10**30 + 7), ("2^61-1", 2**61 - 1))
+    for numerator_label, numerator in (("1", 1), ("3*10^40+11", 3 * 10**40 + 11), ("2^70-3", 2**70 - 3))
+    for sign in "+-"
+}
+
+
+@pytest.mark.parametrize("x", LARGE_POINTS.values(), ids=LARGE_POINTS.keys())
+def test_numeric_sum_at_large_points_equals_the_fraction_by_fraction_sum(x):
+    """Orders 0..40, past the symbolic sum's block crossover, on a degree-40 polynomial and on zero and a constant."""
+    p = BLOCK_POLYS[0]
+    for order in range(41):
+        params = DifferenceParams(order=order, step=1 + order % 5)
+        value = alternating_sum_numeric(p, params, x)
+        assert value == reference_numeric(p, params, x), order
+        assert type(value) is Fraction
+        for q in (Polynomial.zero(), Polynomial.constant(Fraction(-7, 3))):
+            assert alternating_sum_numeric(q, params, x) == reference_numeric(q, params, x), (q, order)
+    expected = p.leading_coefficient * 3**40 * math.factorial(40)
+    assert alternating_sum_numeric(p, DifferenceParams(order=40, step=3), x) == expected

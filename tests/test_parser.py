@@ -1,6 +1,7 @@
 """Grammar, rendering round-trip, and actionable error offsets."""
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,68 @@ def test_trailing_whitespace_scans_in_linear_time():
     start = time.perf_counter()
     assert parse_polynomial("x" + " " * 20000) == Polynomial.monomial(1)
     assert time.perf_counter() - start < 1.0
+
+
+def reference_render(polynomial):
+    """The renderer over the reduced ``Fraction`` coefficients, as it read before it moved onto the numerators."""
+
+    def rational(value):
+        numerator = str(Decimal(value.numerator))
+        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
+
+    def body(magnitude, power):
+        if power == 0:
+            return rational(magnitude)
+        var = "x" if power == 1 else f"x^{power}"
+        return var if magnitude == 1 else f"{rational(magnitude)}*{var}"
+
+    if polynomial.is_zero():
+        return "0"
+    parts = []
+    for power in range(len(polynomial.coefficients) - 1, -1, -1):
+        c = polynomial.coefficients[power]
+        if c == 0:
+            continue
+        if not parts:
+            parts.append(body(abs(c), power) if c > 0 else f"-{body(abs(c), power)}")
+        else:
+            parts.append(f"+ {body(abs(c), power)}" if c > 0 else f"- {body(abs(c), power)}")
+    return " ".join(parts)
+
+
+@settings(max_examples=300)
+@given(polynomials(max_degree=12))
+def test_render_matches_the_fraction_reference(p):
+    assert render_polynomial(p) == reference_render(p)
+
+
+BIG = 7**830 + 2  # 702 digits, past the lowest int/str digit limit (640)
+RENDER_CASES = [
+    Polynomial.zero(),
+    Polynomial.constant(5),
+    Polynomial.constant(Fraction(-3, 7)),
+    Polynomial((0, 1)),  # x
+    Polynomial((0, -1)),
+    Polynomial((1, -1, 1, -1)),  # every coefficient +-1 after the leading one
+    Polynomial((-1, 0, 0, 1)),
+    Polynomial((Fraction(1, 2), -1, 0, Fraction(-1, 3))),
+    Polynomial((4, Fraction(-1, 9), 1, Fraction(6, 4))),  # 6/4 and 2/6 reduce against the common denominator
+    Polynomial((Fraction(BIG, 3), -BIG, Fraction(-1, BIG), Fraction(2 * BIG, 6 * BIG + 3))),
+    Polynomial((Fraction(-BIG, BIG + 1), 0, Fraction(BIG + 1, BIG))),
+]
+
+
+@pytest.mark.parametrize("p", RENDER_CASES, ids=range(len(RENDER_CASES)))
+def test_render_matches_the_fraction_reference_by_hand(p):
+    text = render_polynomial(p)
+    assert text == reference_render(p)
+    assert parse_polynomial(text, degree_cap=10) == p
+
+
+def test_render_by_hand_reads_as_expected():
+    assert [render_polynomial(p) for p in RENDER_CASES[:9]] == [
+        "0", "5", "-3/7", "x", "-x", "-x^3 + x^2 - x + 1", "x^3 - 1", "-1/3*x^3 - x + 1/2", "3/2*x^3 + x^2 - 1/9*x + 4",
+    ]
 
 
 def test_parse_determinism():

@@ -170,6 +170,29 @@ def test_evaluate_equals_fraction_reference(p, point):
     assert_reduced_fraction(value)
 
 
+@given(small_polynomials, st.one_of(st.integers(-10**6, 10**6), st.integers(-(2**200), 2**200)))
+def test_evaluate_at_an_int_equals_evaluate_at_its_fraction(p, k):
+    value = p.evaluate(k)
+    assert type(value) is Fraction
+    assert value == p.evaluate(Fraction(k)) == reference_evaluate(p.coefficients, k)
+
+
+INT_POINT_POLYS = {
+    "zero": Polynomial.zero(),
+    "fraction-constant": Polynomial.constant(Fraction(-7, 3)),
+    "int-constant": Polynomial.constant(4),
+    "cubic": Polynomial((Fraction(1, 2), -3, 0, Fraction(5, 9))),
+}
+
+
+@pytest.mark.parametrize("p", INT_POINT_POLYS.values(), ids=INT_POINT_POLYS.keys())
+def test_evaluate_at_zero_and_negative_ints_returns_the_fraction_value(p):
+    for k in (0, -1, -2, -(10**30) - 7, 1, 10**30 + 7):
+        value = p.evaluate(k)
+        assert value == p.evaluate(Fraction(k)) == reference_evaluate(p.coefficients, k)
+        assert_reduced_fraction(value)
+
+
 def test_kernels_equal_reference_on_a_grid_of_denominators():
     p = Polynomial((Fraction(-7, 6), 3, Fraction(5, 4), 0, Fraction(-2, 9), 1))
     for b in range(1, 13):

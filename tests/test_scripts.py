@@ -78,7 +78,7 @@ def test_verification_campaign_small():
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5  # four families; the dual-path block checks the iterated and the numeric route
     assert all(line.startswith("PASS") for line in lines), result.stdout
 
 
@@ -89,7 +89,7 @@ def test_verification_campaign_stdout_is_deterministic():
     assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert all(re.fullmatch(r"PASS [a-z -]+: (\d+)/\1", line) for line in lines), runs[0].stdout
 
 
