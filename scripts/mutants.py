@@ -48,7 +48,7 @@ MUTANTS = [
     ("errors.py", "if cost > budget:", "if cost >= budget:", [BOUNDARIES]),
     # The second routes and the renderer on integer numerators: the iterated route's cancelled top entry, the
     # numeric route's spacing of its integer points, the Horner step at an int point, the sign of a later term.
-    ("diffcalc.py", "map(sub, c[:-1], _unit_shift(c))", "map(sub, c, _unit_shift(c))", ["tests/test_diffcalc.py"]),
+    ("poly.py", "map(sub, c[:-1], _unit_shift(c))", "map(sub, c, _unit_shift(c))", ["tests/test_diffcalc.py"]),
     ("diffcalc.py", "u - params.step * v * k", "u - params.step * k", ["tests/test_diffcalc.py"]),
     ("poly.py", "result = result * point + m", "result = result * point - m", ["tests/test_poly.py"]),
     ("parser.py", 'f"+ {body}" if m > 0 else f"- {body}"', 'f"+ {body}"', ["tests/test_parser.py"]),

@@ -28,12 +28,12 @@ difference or the factorization (1 - E)^n, so it stays independent of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import mul, sub
+from math import isqrt
+from operator import mul
 
 from .errors import InputError
 from .exact import alternating_binomials, product_cost, row_cost
-from .poly import Polynomial, Scalar, _unit_shift, as_fraction
+from .poly import Polynomial, Scalar, as_fraction
 
 
 class DifferenceParams:
@@ -50,14 +50,9 @@ class DifferenceParams:
 
 
 def backward_difference(p: Polynomial, step: int = 1) -> Polynomial:
-    """P(x) - P(x - step).
-
-    Drops the degree by exactly one and multiplies the leading coefficient
-    by degree * step; constants map to zero.
-    """
-    if step < 1:
-        raise InputError("step must be >= 1")
-    return p - p.shift(step)
+    """P(x) - P(x - step), the iterated route at order 1: it drops the degree by exactly one and multiplies the leading
+    coefficient by degree * step; constants map to zero."""
+    return iterated_difference(p, DifferenceParams(order=1, step=step))
 
 
 _BLOCK_CROSSOVER = 15  # below this order one block, the plain chain of n shifts, is faster
@@ -117,21 +112,13 @@ def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scal
     never a coefficient of a shifted polynomial, so the route is independent of the symbolic one.  The points
     (u - l*k*v)/v share the denominator v, so Q(y) = P(y/v) is built once and its numerators are evaluated, over
     denominator 1, at the integers u - l*k*v; the weighted values are summed over Q's denominator, one ``Fraction``."""
-    x = as_fraction(point)
-    u, v = x.numerator, x.denominator
-    q = p.dilate(Fraction(1, v))
-    cleared = Polynomial._from_integers(q._numerators, 1)  # Q times its denominator
+    u, v = as_fraction(point).as_integer_ratio()
+    cleared, d = p.dilate(Fraction(1, v))._cleared()  # Q times its denominator d, and d
     values = [cleared.evaluate(u - params.step * v * k).numerator for k in range(params.order + 1)]
-    return Fraction(sum(map(mul, alternating_binomials(params.order), values)), q._denominator)
+    return Fraction(sum(map(mul, alternating_binomials(params.order), values)), d)
 
 
 def iterated_difference(p: Polynomial, params: DifferenceParams) -> Polynomial:
-    """The step-l backward difference applied ``order`` times, on integer numerators: in y = x/l each step subtracts
-    the unit shift S(y - 1) from S(y) and drops the top entry, which cancels.  The new top is deg(S) times the old
-    one, so the list never ends in zero, and after deg(S) + 1 steps it is empty.  One gcd reduces the result."""
-    s = p.dilate(params.step)
-    c = s._numerators
-    for _ in range(min(params.order, len(c))):
-        c = list(map(sub, c[:-1], _unit_shift(c)))  # S and S(y - 1) share their leading coefficient
-    g = gcd(s._denominator, *c)
-    return Polynomial._from_integers(tuple(m // g for m in c), s._denominator // g).dilate(Fraction(1, params.step))
+    """The step-l backward difference applied ``order`` times: in y = x/l each step is S(y) - S(y - 1) with
+    S(y) = P(l*y), run by ``Polynomial._differences`` on the numerators of S, and one dilation returns to x."""
+    return p.dilate(params.step)._differences(params.order).dilate(Fraction(1, params.step))

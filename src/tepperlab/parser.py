@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
 from typing import NoReturn
 
 from .errors import InputError
@@ -155,13 +154,9 @@ def _render_ratio(numerator: int, denominator: int) -> str:
 
 def render_polynomial(polynomial: Polynomial) -> str:
     """Canonical descending-degree rendering, reparsed exactly by parse_polynomial; each m/d reduced by gcd(m, d)."""
-    d, parts = polynomial._denominator, []
-    for power in range(polynomial.degree, -1, -1):
-        m = polynomial._numerators[power]
-        if not m:
-            continue
-        g = gcd(m, d)
-        body = _render_ratio(abs(m) // g, d // g)
+    parts = []
+    for power, m, d in polynomial._terms():
+        body = _render_ratio(abs(m), d)
         if power:
             var = "x" if power == 1 else f"x^{power}"
             body = var if body == "1" else f"{body}*{var}"
