@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
 
 BOUNDARIES = "tests/test_cli.py::test_each_price_admits_an_input_at_its_own_price_and_refuses_the_next"
+ITERATED = "tests/test_diffcalc.py::test_iterated_route_at_benchmark_sizes_equals_reference"
 
 # (file under src/tepperlab, exact text, replacement, tests that must fail)
 MUTANTS = [
@@ -46,9 +47,14 @@ MUTANTS = [
     ("identities.py", "claimed = a * step**order * factorial(order)", "claimed = a * step * factorial(order)",
      ["tests/test_identities.py"]),
     ("errors.py", "if cost > budget:", "if cost >= budget:", [BOUNDARIES]),
-    # The second routes and the renderer on integer numerators: the iterated route's cancelled top entry, the
-    # numeric route's spacing of its integer points, the Horner step at an int point, the sign of a later term.
-    ("poly.py", "map(sub, c[:-1], _unit_shift(c))", "map(sub, c, _unit_shift(c))", ["tests/test_diffcalc.py"]),
+    # The iterated route's value table: the sample window moved by one, the difference taken the wrong way round
+    # (at order = degree only odd orders show it), a wrong Newton weight e!/k!, the zero past the degree taken at it.
+    ("poly.py", "range(-order, n - order + 1)", "range(1 - order, n - order + 2)", [ITERATED]),
+    ("poly.py", "map(sub, values[1:], values)", "map(sub, values, values[1:])", [ITERATED]),
+    ("poly.py", "weight *= k + 1", "weight *= k + 2", [ITERATED]),
+    ("poly.py", "if order > n:", "if order >= n:", [ITERATED]),
+    # The numeric route and the renderer on integer numerators: the spacing of the route's integer points, the
+    # Horner step at an int point, the sign of a later term.
     ("diffcalc.py", "u - params.step * v * k", "u - params.step * k", ["tests/test_diffcalc.py"]),
     ("poly.py", "result = result * point + m", "result = result * point - m", ["tests/test_poly.py"]),
     ("parser.py", 'f"+ {body}" if m > 0 else f"- {body}"', 'f"+ {body}"', ["tests/test_parser.py"]),

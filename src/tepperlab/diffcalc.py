@@ -13,10 +13,11 @@ By the binomial theorem for commuting operators the two results agree
 coefficient-for-coefficient; that agreement is this package's central
 cross-validation and is asserted throughout the test suite.
 
-Both polynomial routes run in y = x/l: with S(y) = P(l*y), the term P(x - l*k)
-is S(y - k), so each route dilates P once, takes only unit shifts, which need no
-multiplication, and dilates the result back.  In between, both work on the
-integer numerators of S over its one denominator.
+Both polynomial routes run in y = x/l on the integer numerators of S(y) = P(l*y)
+over its one denominator, and dilate the result back.  The symbolic sum shifts S
+by units, with no multiplication; the iterated route differences a table of S's
+values, v(j) - v(j - 1) at the integers, and rebuilds the coefficients by Newton's
+series (Graham, Knuth & Patashnik, Concrete Mathematics, section 5.3).
 
 The symbolic sum is a polynomial of degree n in the unit shift E, so it is
 evaluated baby-step/giant-step (Paterson & Stockmeyer, SIAM J. Comput. 2(1),
@@ -119,6 +120,6 @@ def alternating_sum_numeric(p: Polynomial, params: DifferenceParams, point: Scal
 
 
 def iterated_difference(p: Polynomial, params: DifferenceParams) -> Polynomial:
-    """The step-l backward difference applied ``order`` times: in y = x/l each step is S(y) - S(y - 1) with
-    S(y) = P(l*y), run by ``Polynomial._differences`` on the numerators of S, and one dilation returns to x."""
+    """The step-l backward difference applied ``order`` times: in y = x/l, S(y) - S(y - 1) with S(y) = P(l*y), run by
+    ``Polynomial._differences`` on S's values at deg(S) + 1 integers, with no shift; one dilation returns to x."""
     return p.dilate(params.step)._differences(params.order).dilate(Fraction(1, params.step))

@@ -14,13 +14,13 @@ integers; the tuple of reduced ``Fraction``s is built only when
 ``coefficients`` is first read, and then kept.
 
 ``dilate(f)`` is P(f*x).  ``shift`` has one synthetic-division loop, the
-unit shift ``_unit_shift`` over a list of numerators, which needs only
-subtractions (``_differences`` runs it too); any other offset t runs as
-``dilate(t).shift(1).dilate(1/t)``.  The unit shift runs its n rounds four at
-a time, each group in one sweep over the coefficients.  That is loop blocking
-of the classical Taylor-shift loop (von zur Gathen & Gerhard, ISSAC 1997):
-below degree 100 the list loads, stores and loop steps cost about a third of
-the kernel, and fusing rounds saves most of them.
+unit shift ``_unit_shift``, subtractions only over a list of numerators; any
+other offset t is ``dilate(t).shift(1).dilate(1/t)``.  It runs its n rounds
+four at a time, one sweep per group: loop blocking of the classical
+Taylor-shift loop (von zur Gathen & Gerhard, ISSAC 1997), which saves most of
+the list loads, stores and loop steps, a third of the kernel below degree 100.
+``_differences`` takes no shift: it differences values from ``_horner``, the
+Horner loop that ``evaluate`` shares, and rebuilds them by Newton's series.
 """
 from __future__ import annotations
 
@@ -42,6 +42,14 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, float):
         raise InputError(f"float {value!r} is not an exact rational; pass int, Fraction, or 'num/den'")
     return Fraction(value)
+
+
+def _horner(numerators: tuple[int, ...], point: int) -> int:
+    """sum(m_i * point^i) by Horner's scheme, one product and one sum a step."""
+    result = 0
+    for m in reversed(numerators):
+        result = result * point + m
+    return result
 
 
 def _unit_shift(numerators: tuple[int, ...] | list[int]) -> list[int]:
@@ -170,10 +178,7 @@ class Polynomial:
         At an ``int`` point each step is one product and one sum, with no m_i * v^(n-i) to form (the numeric route's
         points; it runs that route about 1.3x as fast as the general loop at v = 1)."""
         if type(point) is int:
-            result = 0
-            for m in reversed(self._numerators):
-                result = result * point + m
-            return Fraction(result, self._denominator)
+            return Fraction(_horner(self._numerators, point), self._denominator)
         u, v = as_fraction(point).as_integer_ratio()
         result, v_power = 0, 1
         for m in reversed(self._numerators):
@@ -198,14 +203,23 @@ class Polynomial:
         return Polynomial._from_integers(tuple(_unit_shift(self._numerators)), self._denominator)
 
     def _differences(self, order: int) -> "Polynomial":
-        """P(x) - P(x - 1) taken ``order`` times on the numerators: each step subtracts the unit shift and drops the top
-        entry, which cancels.  The new top is deg(P) times the old one, so the list never ends in zero and needs no
-        strip, and after deg(P) + 1 steps it is empty.  The denominator is kept; one gcd reduces the result."""
-        c, d = self._numerators, self._denominator
-        for _ in range(min(order, len(c))):
-            c = list(map(sub, c[:-1], _unit_shift(c)))  # P and P(x - 1) share their leading coefficient
-        g = gcd(d, *c)
-        return Polynomial._from_integers(tuple(m // g for m in c), d // g)
+        """P(x) - P(x - 1) taken ``order`` times on values, with no shift; zero past the degree n.  The values v(j) at
+        the n + 1 integers j = -order..e, e = n - order, are differenced v(j) - v(j - 1): after order + k steps the
+        first entry is the k-th forward difference f_k at 0 of the result.  Newton's series, the sum of f_k/k! times
+        y(y - 1)...(y - k + 1), rebuilds it times e! by Horner in the falling factorials, a small y - k a step."""
+        c, n = self._numerators, len(self._numerators) - 1
+        if order > n:
+            return Polynomial.zero()
+        values, newton = [_horner(c, j) for j in range(-order, n - order + 1)], []
+        for k in range(n + 1):
+            if k >= order:
+                newton.append(values[0])
+            values = list(map(sub, values[1:], values))  # v(j) - v(j - 1), one entry shorter
+        result, weight = [newton.pop()], 1  # weight is e!/k!, and e! at the end
+        for k in reversed(range(len(newton))):
+            weight *= k + 1
+            result = [*map(sub, [newton[k] * weight, *result], [k * m for m in result]), result[-1]]
+        return Polynomial._reduced(result, self._denominator * weight)  # one gcd over d * e!
 
     def _cleared(self) -> tuple["Polynomial", int]:
         """d * P, whose coefficients are the integer numerators, and the denominator d."""

@@ -1,5 +1,6 @@
 """Backward differences vs. direct alternating sums: the dual-route oracle."""
 import math
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -17,7 +18,9 @@ from tepperlab import (
     backward_difference,
     binomial,
     diffcalc,
+    exact,
     iterated_difference,
+    poly,
 )
 
 X = Polynomial.monomial(1)
@@ -176,6 +179,42 @@ def test_routes_equal_reference_algorithms(p, step):
         params = DifferenceParams(order=order, step=step)
         assert alternating_sum_symbolic(p, params) == reference_symbolic(p, params)
         assert iterated_difference(p, params) == reference_iterated(p, params)
+
+
+def _large_polynomial(degree, seed):
+    """Numerators of 100-300 bits and denominators up to 10^6, of either sign, seeded."""
+    rng = random.Random(seed)
+    return Polynomial(
+        tuple(Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.randint(100, 300)), rng.randint(1, 10**6))
+              for _ in range(degree)) + (Fraction(-(2**299) - 7, 999_983),)
+    )
+
+
+@pytest.mark.parametrize("step", range(1, 7))
+@pytest.mark.parametrize("degree", [20, 33, 47, 60])
+def test_iterated_route_at_benchmark_sizes_equals_reference(degree, step):
+    """The value table at d + 1 points and the Newton rebuild at e = d - order up to 60, against both other routes."""
+    p = _large_polynomial(degree, seed=degree * 10 + step)
+    for order in (0, degree - 3, degree - 1, degree, degree + 1):
+        params = DifferenceParams(order=order, step=step)
+        iterated = iterated_difference(p, params)
+        assert iterated == reference_iterated(p, params), order
+        assert iterated == alternating_sum_symbolic(p, params), order
+
+
+def test_iterated_route_takes_no_binomial_and_no_shift(monkeypatch):
+    """The route stays apart from the symbolic sum: no binomial weight, no row and no Taylor shift."""
+    p = _large_polynomial(24, seed=1)
+    expected = {order: reference_iterated(p, DifferenceParams(order, 3)) for order in (0, 1, 12, 23, 24, 25)}
+
+    def refuse(*_args):
+        raise AssertionError("the iterated route called a binomial or a shift")
+
+    for owner, name in ((exact, "alternating_binomials"), (exact, "pascal_row"), (exact, "binomial"),
+                        (diffcalc, "alternating_binomials"), (Polynomial, "shift"), (poly, "_unit_shift")):
+        monkeypatch.setattr(owner, name, refuse)
+    for order, reference in expected.items():
+        assert iterated_difference(p, DifferenceParams(order, 3)) == reference, order
 
 
 def test_numeric_sum_equals_the_fraction_by_fraction_sum():
