@@ -3,9 +3,9 @@ power-sum classifier, and the Wilson routes, with text or JSON output.
 
 Exit codes: 0 when every emitted report passed, 1 when some check failed,
 2 on input or usage errors, 3 when the work is priced beyond the budget
-(``--budget``, else ``$TEPPERLAB_BUDGET``, else ``errors.DEFAULT_BUDGET``),
-4 on an internal error (a broken invariant, never the input's fault), with
-an ``INTERNAL-ERROR <type>: <message>`` line on stderr.
+(``--budget``, else ``errors.DEFAULT_BUDGET``), 4 on an internal error (a
+broken invariant, never the input's fault), with an
+``INTERNAL-ERROR <type>: <message>`` line on stderr.
 
 Exact values are rendered in full at any size.
 
@@ -16,7 +16,6 @@ including the seed, produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from decimal import Decimal
@@ -30,7 +29,6 @@ from .parser import _render_rational, parse_polynomial, render_polynomial
 from .poly import Polynomial
 
 DEFAULT_SEED = 0
-BUDGET_ENV_VAR = "TEPPERLAB_BUDGET"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,19 +129,6 @@ def _positive(text: str) -> int:
     return _integer(text, 1)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = _integer(raw)
-    except argparse.ArgumentTypeError:
-        raise InputError(f"{BUDGET_ENV_VAR} must be an integer, not {raw!r}") from None
-    if budget < 1:
-        raise InputError(f"{BUDGET_ENV_VAR} must be >= 1, not {budget}")
-    return budget
-
-
 def _step_sum(verify, options: argparse.Namespace, *args) -> list[ReportRow]:
     """``verify(*args, x, mode, budget)``: symbolic at x = 0 by default; an explicit --x without --mode asks for a
     pointwise check, so numeric wins there."""
@@ -205,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=(TEXT, JSON), default=TEXT, help="output format")
-    common.add_argument("--budget", type=_positive, help=f"work units (default {DEFAULT_BUDGET}, or ${BUDGET_ENV_VAR})")
+    common.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=f"work units (default {DEFAULT_BUDGET})")
 
     mode_parent = argparse.ArgumentParser(add_help=False)
     mode_parent.add_argument(
@@ -300,7 +285,6 @@ def _attach_signed_values(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     options = build_parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        options.budget = options.budget or _default_budget()
         rows = options.handler(options)
         summary = None
         if options.command == "sweep":

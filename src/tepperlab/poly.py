@@ -92,8 +92,10 @@ class Polynomial:
 
     def __post_init__(self, coefficients: tuple[Scalar, ...]) -> None:
         coeffs = tuple(c if type(c) is Fraction else as_fraction(c) for c in coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        coeffs = coeffs[:end]
         # d is the lcm of the reduced denominators, so gcd(m_i..., d) = 1.
         d = lcm(*(c.denominator for c in coeffs))
         self._numerators = tuple(c.numerator * (d // c.denominator) for c in coeffs)
@@ -248,14 +250,7 @@ class Polynomial:
         )
 
     def scale(self, factor: Scalar) -> "Polynomial":
-        """factor * P.  An integer w reduces by one gcd: since gcd(m_0, ..., m_n, d)
-        = 1, gcd(w*m_0, ..., w*m_n, d) = gcd(w, d)."""
-        if type(factor) is int:
-            if not factor:
-                return Polynomial.zero()
-            g = gcd(factor, self._denominator)
-            w = factor // g
-            return Polynomial._from_integers(tuple(m * w for m in self._numerators), self._denominator // g)
+        """factor * P for factor = p/q: the numerators times p over d * q, reduced by one gcd."""
         f = as_fraction(factor)
         p, q = f.numerator, f.denominator
         return Polynomial._reduced([m * p for m in self._numerators], self._denominator * q)

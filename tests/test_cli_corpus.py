@@ -81,5 +81,4 @@ def test_the_corpus_pins_every_run_demo_command_in_text_and_json():
 
 
 if __name__ == "__main__":
-    os.environ.pop(cli.BUDGET_ENV_VAR, None)
     print(corpus_line(sys.argv[1:]))

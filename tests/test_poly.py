@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import zip_longest
 import math
 import random
+import time
 from math import gcd
 
 import hypothesis.strategies as st
@@ -117,6 +118,14 @@ def test_add_cancellation_recanonicalizes():
     total = p + p.scale(-1)
     assert total.is_zero()
     assert total.coefficients == ()
+
+
+def test_trailing_zeros_are_stripped_in_one_slice():
+    # One slice per trailing zero is quadratic, about 4 s at this size; one slice for the run takes a few hundredths.
+    start = time.perf_counter()
+    p = Polynomial((1,) + (0,) * 50_000)
+    assert time.perf_counter() - start < 1.0
+    assert (p.coefficients, p._numerators, p.degree) == ((Fraction(1),), (1,), 0)
 
 
 def test_scale_by_zero():
