@@ -95,6 +95,28 @@ def test_a_budget_in_the_environment_is_ignored(capsys, monkeypatch):
 
 
 _UNITS_OF_4 = "units, which exceeds the budget of 4\n"
+_OCCUPANCY = ("occupancy", "--wagons", "3", "--passengers", "2", "--occupied", "2")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["lots", "٣", " 1_0 ", "0", "-5", "4"],
+    ids=["not-an-integer", "arabic-indic-digit", "spaces-underscore", "zero", "negative", "below-the-cost"],
+)
+def test_no_value_in_the_environment_reaches_any_command(capsys, monkeypatch, raw):
+    # Each value once gave a usage error or BUDGET-EXCEEDED; now every command, with or without --budget, ignores it.
+    commands = [_OCCUPANCY, ("tepper", "--n", "3"), ("wilson", "--upto", "5"), ("powersum", "--n", "2", "--p", "2")]
+    monkeypatch.delenv("TEPPERLAB_BUDGET", raising=False)
+    unset = [run_cli(capsys, *command) for command in commands]
+    monkeypatch.setenv("TEPPERLAB_BUDGET", raw)
+    assert [run_cli(capsys, *command) for command in commands] == unset
+    assert all(code == 0 for code, _, _ in unset)
+    code, out, err = run_cli(capsys, *_OCCUPANCY, "--budget", "4")
+    assert (code, out) == (3, "")
+    assert err == f"BUDGET-EXCEEDED occupancy wagons=3 passengers=2 occupied=2 costs 5 {_UNITS_OF_4}"
+    code, out, err = run_cli(capsys, *_OCCUPANCY, "--budget", "5")
+    assert (code, err) == (0, "")
+    assert out == "PASS occupancy wagons=3 passengers=2 occupied=2 closed_form=6 oracle=skipped unchecked\n"
 
 
 @pytest.mark.parametrize("output_format", ["text", "json"])
