@@ -27,6 +27,7 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 
 BOUNDARIES = "tests/test_cli.py::test_each_price_admits_an_input_at_its_own_price_and_refuses_the_next"
 ITERATED = "tests/test_diffcalc.py::test_iterated_route_at_benchmark_sizes_equals_reference"
+BYTE_BOUNDARY = "tests/test_occupancy.py::test_oracle_matches_the_closed_form_across_the_byte_boundary"
 
 # (file under src/tepperlab, exact text, replacement, tests that must fail)
 MUTANTS = [
@@ -61,6 +62,13 @@ MUTANTS = [
     # The strip of trailing zeros, one zero too few.
     ("poly.py", "coeffs = coeffs[:end]", "coeffs = coeffs[: end + 1]",
      ["tests/test_poly.py::test_trailing_zeros_are_stripped_in_one_slice"]),
+    # The oracle's byte path: taken at 9 wagons, where a mask no longer fits a byte; the tail's mask ORed into the
+    # first head mask only; a list built per tail.
+    ("occupancy.py", "if n <= 8:", "if n <= 9:", [BYTE_BOUNDARY]),
+    ("occupancy.py", "lanes | ones * mask", "lanes | mask", [BYTE_BOUNDARY]),
+    ("occupancy.py", 'masks = (lanes | ones * mask).to_bytes(size, "little")',
+     'masks = list((lanes | ones * mask).to_bytes(size, "little"))',
+     ["tests/test_occupancy.py::test_oracle_memory_on_the_byte_path_stays_near_the_head_table"]),
     # The prices, each moved without admitting anything large: the row dropped from the symbolic sum, the bits of x
     # and of l ignored, and the oracle's tail pipeline summed with its assignments instead of maxed.
     ("diffcalc.py", "return row_cost(n) + shifts", "return shifts", [BOUNDARIES]),

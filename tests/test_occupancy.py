@@ -1,6 +1,7 @@
 """Occupancy closed form vs. enumeration oracle, power sums, Stirling link."""
 import itertools
 import re
+import sys
 import time
 import tracemalloc
 
@@ -159,6 +160,17 @@ def test_oracle_matches_the_closed_form_at_the_benchmarks_largest_size(r):
     assert brute_force_occupancy(params) == exact_occupancy_count(params)
 
 
+@pytest.mark.parametrize("n", [0, 8, 9])
+@pytest.mark.parametrize("p", range(7))
+def test_oracle_matches_the_closed_form_across_the_byte_boundary(n, p):
+    # Up to 8 wagons each mask is one byte of a single int: no wagons leave no lane from p = 2, and 8 wagons use
+    # the byte's top bit.  9 wagons give the first mask wider than a byte, which takes the map pipeline.
+    # At most 9^6 assignments; p = 0 is the one empty assignment on either path.
+    for r in range(n + 1):
+        params = OccupancyParams(n, p, r)
+        assert brute_force_occupancy(params) == exact_occupancy_count(params)
+
+
 def _oracle_peak_bytes(params):
     tracemalloc.start()
     try:
@@ -173,6 +185,15 @@ def test_oracle_memory_stays_at_the_head_table():
     count, peak = _oracle_peak_bytes(OccupancyParams(400, 2, 2))
     assert count == 400 * 399
     assert peak < 256 * 1024
+
+
+def test_oracle_memory_on_the_byte_path_stays_near_the_head_table():
+    # The head table of 2^11 masks is a list of about 16 KB (building it holds the 8 KB table of 2^10 too), and
+    # each tail's ints and bytes take about 2 KB apiece.  A list of the tail's 2^11 masks would add another
+    # 16 KB, and a list of all 2^22 masks about 34 MB.
+    count, peak = _oracle_peak_bytes(OccupancyParams(2, 22, 2))
+    assert count == 2**22 - 2
+    assert peak < 2 * sys.getsizeof([0] * 2**11)
 
 
 def test_oracle_with_one_passenger_builds_no_per_wagon_table():
